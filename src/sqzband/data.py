@@ -38,6 +38,10 @@ class SpectrumData:
         object.__setattr__(self, "psd", psd)
         if freq.ndim != 1 or freq.size < 2 or freq.shape != psd.shape:
             raise GridError("freq_hz and psd must be matching 1-d arrays, >= 2 bins")
+        for name, values in (("freq_hz", freq), ("psd", psd)):
+            if not np.isfinite(values).all():
+                bad = np.flatnonzero(~np.isfinite(values))
+                raise GridError(f"{name} has {bad.size} non-finite bins (first at index {bad[0]})")
         steps = np.diff(freq)
         step = freq[1] - freq[0]
         if step <= 0 or np.any(np.abs(steps - step) > _GRID_RTOL * abs(step)):
@@ -87,19 +91,23 @@ class SpectrumData:
     def from_csv(cls, path) -> "SpectrumData":
         meta = {}
         rows = []
-        for line in Path(path).read_text().splitlines():
-            if line.startswith("# meta:"):
-                meta = json.loads(line[len("# meta:") :])
-            elif line.startswith("#") or line.startswith("freq_hz") or not line.strip():
-                continue
-            else:
-                f, p, m = line.split(",")
-                rows.append((float(f), float(p), bool(int(m))))
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            try:
+                if line.startswith("# meta:"):
+                    meta = json.loads(line[len("# meta:") :])
+                elif not (line.startswith(("#", "freq_hz")) or not line.strip()):
+                    f, p, m = line.split(",")
+                    rows.append((float(f), float(p), bool(int(m))))
+            except ValueError:
+                raise GridError(f"{path}:{lineno}: malformed line {line!r}") from None
         if not rows:
             raise GridError(f"no data rows in {path}")
         freq, psd, mask = (np.array(col) for col in zip(*rows))
-        n_avg = int(meta.pop("n_avg", 1))
-        return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask.astype(bool), meta=meta)
+        try:
+            n_avg = int(meta.pop("n_avg", 1))
+            return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask.astype(bool), meta=meta)
+        except (GridError, ValueError) as exc:
+            raise GridError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, StabilityError
-(and subclasses) -> 3, FitFailureError -> 4.
+(and subclasses) -> 3, FitFailureError -> 4, any other SqzbandError
+(GridError for malformed or non-finite data) -> 1.
 """
 
 

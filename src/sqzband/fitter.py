@@ -7,6 +7,13 @@ Gamma_eff frozen at the off-fit value and s the only extra shape parameter
 (-> s, R+, R-).  Weights follow the averaged-periodogram noise law
 sigma_bin = PSD_model / sqrt(n_avg), refreshed from the current model.
 
+Both models are linear in the floor and the areas, so the fits are separable
+(variable projection; Golub & Pereyra, Inverse Problems 19 (2003) R1): LM
+runs over the two centres and the width (drive off) or q (drive on), the
+floor and areas are solved by weighted linear least squares at each step,
+and the Jacobian is Kaufman's (BIT 15 (1975) 49).  The full Jacobian is
+built once, at the solution, for the reported uncertainties.
+
 s enters the optimizer through a logistic transform onto (0, 0.999): the
 spectra depend only on |s| and the transform keeps the fit smooth at the
 s = 0 boundary, which is what folds the no-drive fitted-s distribution to
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -27,6 +35,7 @@ from .core import TWO_PI, DerivedRates
 from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios
+from .seeding import task_seed
 from .synthesizer import DetectionConfig, synth_onoff_from_rates
 
 S_MAX = 0.999
@@ -36,11 +45,18 @@ _GTOL = 1e-10
 _FTOL = 1e-9
 _MAX_NFEV = 500
 _WEIGHT_REFRESH = 1
+_LM_OPTIONS = dict(
+    method="lm", gtol=_GTOL, xtol=1e-12, ftol=_FTOL, max_nfev=_MAX_NFEV, x_scale="jac"
+)
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted parameters (Hz at the data boundary), uncertainties, ratios."""
+    """Fitted parameters (Hz at the data boundary), uncertainties, ratios.
+
+    ``n_iter`` counts the evaluations of the reduced (projected) problem in
+    the last reweighting pass.
+    """
 
     params: dict
     sigmas: dict
@@ -118,106 +134,154 @@ class BiasStudyReport:
         }
 
 
-def _lorentz(f, center, gamma_hz):
-    """Unit-area Lorentzian in per-Hz density form."""
-    d = f - center
-    return (gamma_hz / TWO_PI) / (d * d + gamma_hz * gamma_hz / 4)
+def _lorentz(d2, gamma_hz):
+    """Unit-area Lorentzian in per-Hz density form, at squared offsets d2."""
+    return (gamma_hz / TWO_PI) / (d2 + gamma_hz * gamma_hz / 4)
 
 
-def _lorentz_terms(f, center, gamma_hz):
-    """(L, dL/dcenter, dL/dgamma) sharing one denominator evaluation."""
-    d = f - center
-    quarter = gamma_hz * gamma_hz / 4
-    den = d * d + quarter
-    inv = 1.0 / den
-    line = (gamma_hz / TWO_PI) * inv
-    d_center = line * 2 * d * inv
-    d_gamma = (1 / TWO_PI) * (d * d - quarter) * inv * inv
-    return line, d_center, d_gamma
+class _Basis(NamedTuple):
+    """Unweighted columns at one theta, one per row: the model is floor +
+    areas @ lines, unit-area Lorentzians on centre theta[0] (first half) and
+    theta[1]; the linear solve uses ``solve``, which spans the same space."""
+
+    d: np.ndarray  # (2, n): f - centre
+    lines: np.ndarray  # (m, n)
+    widths: np.ndarray  # (m,)
+    d_widths: np.ndarray  # (m,): d(width)/d(theta[2])
+    solve: np.ndarray  # (m, n)
 
 
-class _SinglePairModel:
-    """floor + two equal-width Lorentzians: p = (floor, c1, c2, gamma, a1, a2)."""
+class _PairModel:
+    """Drive-off: floor + L(c1, |g|) + L(c2, |g|), theta = (c1, c2, g).
+
+    The model is even in g, so a negative-width mirror of a solution is the
+    same solution; the reported width is |g|.
+    """
 
     names = ("floor", "center_1_hz", "center_2_hz", "gamma_eff_hz", "area_1", "area_2")
 
     @staticmethod
-    def model(p, f):
-        floor, c1, c2, g, a1, a2 = p
-        return floor + a1 * _lorentz(f, c1, g) + a2 * _lorentz(f, c2, g)
+    def basis(f, theta) -> _Basis:
+        c1, c2, g = theta
+        d = f - np.array([[c1], [c2]])
+        lines = _lorentz(d * d, abs(g))
+        return _Basis(d, lines, np.full(2, abs(g)), np.full(2, math.copysign(1.0, g)), lines)
 
     @staticmethod
-    def jac(p, f):
-        floor, c1, c2, g, a1, a2 = p
-        l1, dc1, dg1 = _lorentz_terms(f, c1, g)
-        l2, dc2, dg2 = _lorentz_terms(f, c2, g)
-        cols = np.empty((f.size, 6))
-        cols[:, 0] = 1.0
-        cols[:, 1] = a1 * dc1
-        cols[:, 2] = a2 * dc2
-        cols[:, 3] = a1 * dg1 + a2 * dg2
-        cols[:, 4] = l1
-        cols[:, 5] = l2
-        return cols
+    def areas(coef):
+        return coef
 
 
-class _DoublePairModel:
-    """floor + two Lorentzian pairs with widths Gamma_eff (1 -/+ s); s = S_MAX expit(q).
+class _TwoPairModel:
+    """Drive-on: floor + a pair of Lorentzians of widths Gamma_eff (1 -/+ s) at
+    each centre, theta = (c1, c2, q) with s = S_MAX expit(q); Gamma_eff frozen.
 
-    p = (floor, c1, c2, q, a1_narrow, a1_broad, a2_narrow, a2_broad); the
-    shared Gamma_eff is frozen (from the paired off-fit).
+    As s -> 0 the narrow and broad lines of a pair coincide, so the linear
+    solve uses their sum and their difference instead.  The difference is
+    evaluated in closed form, free of cancellation.
     """
 
-    names = (
-        "floor",
-        "center_1_hz",
-        "center_2_hz",
-        "q",
-        "area_1_narrow",
-        "area_1_broad",
-        "area_2_narrow",
-        "area_2_broad",
+    names = ("floor", "center_1_hz", "center_2_hz", "q") + tuple(
+        f"area_{i}_{width}" for i in (1, 2) for width in ("narrow", "broad")
     )
 
     def __init__(self, gamma_eff_hz: float):
         self.gamma_eff_hz = gamma_eff_hz
 
-    def widths(self, q):
+    def basis(self, f, theta) -> _Basis:
+        c1, c2, q = theta
+        g = self.gamma_eff_hz
         s = S_MAX * expit(q)
-        return self.gamma_eff_hz * (1 - s), self.gamma_eff_hz * (1 + s)
+        dg_dq = g * s * expit(-q)
+        gn, gb = g * (1 - s), g * (1 + s)
+        d = f - np.array([[c1], [c2]])
+        d2 = d * d
+        narrow, broad = _lorentz(d2, gn), _lorentz(d2, gb)
+        # L_n - L_b = (gn - gb) (d^2 - gn gb / 4) / (2 pi den_n den_b)
+        gap = (-2 * g * s * TWO_PI / (gn * gb)) * (d2 - gn * gb / 4) * narrow * broad
+        lines = np.stack([narrow, broad], axis=1).reshape(4, -1)
+        solve = np.stack([narrow + broad, gap], axis=1).reshape(4, -1)
+        d_widths = np.array([-dg_dq, dg_dq, -dg_dq, dg_dq])
+        return _Basis(d, lines, np.array([gn, gb, gn, gb]), d_widths, solve)
 
-    def model(self, p, f):
-        floor, c1, c2, q, a1n, a1b, a2n, a2b = p
-        gn, gb = self.widths(q)
-        return (
-            floor
-            + a1n * _lorentz(f, c1, gn)
-            + a1b * _lorentz(f, c1, gb)
-            + a2n * _lorentz(f, c2, gn)
-            + a2b * _lorentz(f, c2, gb)
-        )
+    @staticmethod
+    def areas(coef):
+        """(floor, sum_1, gap_1, sum_2, gap_2) coefficients -> (floor, areas)."""
+        floor, u1, v1, u2, v2 = coef
+        return np.array([floor, u1 + v1, u1 - v1, u2 + v2, u2 - v2])
 
-    def jac(self, p, f):
-        floor, c1, c2, q, a1n, a1b, a2n, a2b = p
-        gn, gb = self.widths(q)
-        e = expit(q)
-        ds_dq = S_MAX * e * (1 - e)
-        l1n, dc1n, dg1n = _lorentz_terms(f, c1, gn)
-        l1b, dc1b, dg1b = _lorentz_terms(f, c1, gb)
-        l2n, dc2n, dg2n = _lorentz_terms(f, c2, gn)
-        l2b, dc2b, dg2b = _lorentz_terms(f, c2, gb)
-        dgn = -self.gamma_eff_hz * ds_dq
-        dgb = self.gamma_eff_hz * ds_dq
-        cols = np.empty((f.size, 8))
-        cols[:, 0] = 1.0
-        cols[:, 1] = a1n * dc1n + a1b * dc1b
-        cols[:, 2] = a2n * dc2n + a2b * dc2b
-        cols[:, 3] = (a1n * dg1n + a2n * dg2n) * dgn + (a1b * dg1b + a2b * dg2b) * dgb
-        cols[:, 4] = l1n
-        cols[:, 5] = l1b
-        cols[:, 6] = l2n
-        cols[:, 7] = l2b
-        return cols
+
+class _Projection:
+    """Variable projection at fixed weights: LM sees theta alone.  Kaufman's
+    Jacobian is the model's theta-derivative at fixed floor and areas,
+    projected off the column space of the weighted basis."""
+
+    def __init__(self, model, freq, psd, sigma):
+        self.model, self.freq = model, freq
+        self.target = psd / sigma
+        # rows: the weighted solve columns (the first is the floor's), then target
+        self._rows = np.empty((len(model.names) - 2, freq.size))
+        self._rows[0] = 1.0 / sigma
+        self._rows[-1] = self.target
+        self._key = None
+
+    def residual(self, theta) -> np.ndarray:
+        """Weighted residual at theta, floor and areas solved; cached per theta."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.tobytes() == self._key:
+            return self.resid
+        basis = self.model.basis(self.freq, theta)
+        rows = self._rows
+        np.multiply(basis.solve, rows[0], out=rows[1:-1])
+        phi = rows[:-1]
+        # one product gives the Gram matrix and phi @ target; two distinct
+        # operands keep numpy on gemm (its A @ A.T path is ~4x slower here)
+        products = rows @ phi.T
+        gram, rhs = products[:-1], products[-1]
+        # a column numerically zero next to the largest (the pair gap as
+        # s -> 0) drops out of the solve and keeps a zero coefficient;
+        # unit-column scaling keeps the inverse accurate
+        norm = np.sqrt(np.diag(gram))
+        live = norm > np.finfo(float).eps * norm.max()
+        norm[~live] = 1.0
+        scale, keep = np.outer(norm, norm), np.outer(live, live)
+        unit_gram = np.where(keep, gram / scale, np.eye(norm.size))
+        self._gram_inv = np.where(keep, np.linalg.inv(unit_gram) / scale, 0.0)
+        coef = self._gram_inv @ rhs
+        self._basis = basis
+        self._theta, self._key = theta, theta.tobytes()
+        self.areas = self.model.areas(coef)
+        self.resid = coef @ phi - self.target
+        return self.resid
+
+    def _theta_jacobian(self) -> np.ndarray:
+        """Weighted d(model)/d(theta) at fixed floor and areas, one row per theta.
+
+        Per line, dL/dc = 4 pi d L^2 / w and dL/dw = L / w - pi L^2.
+        """
+        b, areas = self._basis, self.areas[1:]
+        squares = b.lines * b.lines
+        jac = np.empty((3, squares.shape[1]))
+        per_line = (4 * np.pi * areas / b.widths)[:, None] * squares
+        jac[:2] = b.d * per_line.reshape(2, -1, jac.shape[1]).sum(axis=1)
+        shape = areas * b.d_widths
+        jac[2] = (shape / b.widths) @ b.lines - (np.pi * shape) @ squares
+        return jac * self._rows[0]
+
+    def jacobian(self, theta) -> np.ndarray:
+        self.residual(theta)
+        jac = self._theta_jacobian()
+        phi = self._rows[:-1]
+        jac -= ((jac @ phi.T) @ self._gram_inv) @ phi
+        return jac.T
+
+    def solution(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Parameters (floor, *theta, *areas) at theta and the weighted
+        Jacobian over all of them, in the model's name order."""
+        self.residual(theta)
+        lines = self._basis.lines * self._rows[0]
+        jac = np.vstack([self._rows[:1], self._theta_jacobian(), lines]).T
+        return np.concatenate([self.areas[:1], self._theta, self.areas[1:]]), jac
 
 
 def _smooth(y: np.ndarray, width: int = 7) -> np.ndarray:
@@ -226,11 +290,11 @@ def _smooth(y: np.ndarray, width: int = 7) -> np.ndarray:
 
 
 def _initial_guess(freq, psd):
-    """Floor, two peak centers, common width and areas from the raw data.
+    """Two peak centers and a common width from the raw data.
 
     Centers come from the two largest separated maxima of a lightly smoothed
-    spectrum, the width from the Lorentzian peak/area relation and areas from
-    trapezoidal integration above the floor.
+    spectrum, the width from the Lorentzian peak/area relation above a
+    percentile floor.
     """
     smooth = _smooth(psd)
     floor = float(np.percentile(smooth, 10))
@@ -244,13 +308,7 @@ def _initial_guess(freq, psd):
     exclude = np.abs(freq - freq[i1]) < 10 * gamma0
     rest = np.where(~exclude, smooth, -np.inf)
     i2 = int(np.argmax(rest))
-    c_pair = sorted((freq[i1], freq[i2]))
-
-    areas = []
-    for c in c_pair:
-        window = np.abs(freq - c) <= 5 * gamma0
-        areas.append(float(np.trapezoid(np.clip(psd[window] - floor, 0, None), freq[window])))
-    return floor, c_pair[0], c_pair[1], gamma0, areas[0], areas[1]
+    return (*sorted((freq[i1], freq[i2])), gamma0)
 
 
 def _sigma_floor(values: np.ndarray) -> float:
@@ -258,38 +316,26 @@ def _sigma_floor(values: np.ndarray) -> float:
     return max(top * 1e-12, 1e-300)
 
 
-def _run_weighted_fit(model_fn, jac_fn, p0, freq, psd, n_avg):
-    """IRLS loop: LM passes with sigma = model / sqrt(n_avg) refreshed."""
-    sigma = np.maximum(_smooth(psd), _sigma_floor(psd)) / math.sqrt(n_avg)
-    result = None
-    p = np.asarray(p0, dtype=float)
-    for _ in range(_WEIGHT_REFRESH + 1):
-        def resid(x):
-            return (model_fn(x, freq) - psd) / sigma
-
-        def jac(x):
-            return jac_fn(x, freq) / sigma[:, None]
-
-        result = least_squares(
-            resid,
-            p,
-            jac=jac,
-            method="lm",
-            gtol=_GTOL,
-            xtol=1e-12,
-            ftol=_FTOL,
-            max_nfev=_MAX_NFEV,
-            x_scale="jac",
-        )
-        p = result.x
-        sigma = np.maximum(model_fn(p, freq), _sigma_floor(psd)) / math.sqrt(n_avg)
-    return result, sigma
+def _initial_sigma(psd: np.ndarray, n_avg: int) -> np.ndarray:
+    return np.maximum(_smooth(psd), _sigma_floor(psd)) / math.sqrt(n_avg)
 
 
-def _param_sigmas(jac: np.ndarray) -> np.ndarray:
-    jtj = jac.T @ jac
-    cov = np.linalg.pinv(jtj)
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+def _run_weighted_fit(model, theta0, freq, psd, n_avg):
+    """IRLS loop: LM passes over theta with sigma = model / sqrt(n_avg) refreshed.
+
+    Returns the last pass's result and the parameters and sigmas by name."""
+    sigma = _initial_sigma(psd, n_avg)
+    theta = np.asarray(theta0, dtype=float)
+    for i in range(_WEIGHT_REFRESH + 1):
+        if i:
+            fitted = (proj.residual(theta) + proj.target) * sigma
+            sigma = np.maximum(fitted, _sigma_floor(psd)) / math.sqrt(n_avg)
+        proj = _Projection(model, freq, psd, sigma)
+        result = least_squares(proj.residual, theta, jac=proj.jacobian, **_LM_OPTIONS)
+        theta = result.x
+    p, jac = proj.solution(theta)
+    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(jac.T @ jac)), 0.0, None))
+    return result, dict(zip(model.names, map(float, p))), dict(zip(model.names, map(float, sig)))
 
 
 def _chi2_reduced(res, n_params: int) -> float:
@@ -297,15 +343,24 @@ def _chi2_reduced(res, n_params: int) -> float:
     return float(2 * res.cost / dof)
 
 
+def _stokes_anti(params: dict, key: str) -> tuple[float, float]:
+    """(Stokes, anti-Stokes) values of params[key.format(1 or 2)]; Stokes is
+    the upper sideband."""
+    upper = 2 if params["center_2_hz"] >= params["center_1_hz"] else 1
+    return params[key.format(upper)], params[key.format(3 - upper)]
+
+
+def _ratio(stokes: float, anti: float, correction: float) -> float:
+    return (stokes / anti) * correction if anti != 0 else math.inf
+
+
 def _coverage_flags(data: SpectrumData, centers_hz, width_hz) -> tuple[str, ...]:
     """Flag peaks whose fit region is mostly masked out (error inflation)."""
-    flags = []
     for c in centers_hz:
         window = np.abs(data.freq_hz - c) <= width_hz / 2
         if window.sum() and data.mask[window].mean() > 0.8:
-            flags.append("peak_region_masked")
-            break
-    return tuple(flags)
+            return ("peak_region_masked",)
+    return ()
 
 
 def apply_mask(data: SpectrumData, exclusion_windows) -> SpectrumData:
@@ -331,78 +386,42 @@ def fit_single_pair(
     Returns Gamma_eff, the Stokes/anti-Stokes area ratio R0 (after the
     optional external ratio correction) and the occupancy implied by
     R0 = 1 + 1/n.  The higher-frequency peak is the Stokes sideband.
+    `init_hint` may set the starting center_1_hz, center_2_hz and gamma_eff_hz.
     """
+    hint = init_hint or {}
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
-    guess = list(_initial_guess(freq, psd))
-    if init_hint:
-        for i, name in enumerate(_SinglePairModel.names):
-            if name in init_hint:
-                guess[i] = init_hint[name]
-    res, _ = _run_weighted_fit(
-        _SinglePairModel.model, _SinglePairModel.jac, guess, freq, psd, data.n_avg
-    )
-    p = res.x
-    flags = list(_coverage_flags(data, p[1:3], abs(p[3])))
-    converged = bool(res.success)
-    if p[3] <= 0:
-        flags.append("negative_width")
-        converged = False
-
-    sig = _param_sigmas(res.jac)
-    params = dict(zip(_SinglePairModel.names, map(float, p)))
-    sigmas = dict(zip(_SinglePairModel.names, map(float, sig)))
-    # Stokes is the upper sideband
-    if params["center_2_hz"] >= params["center_1_hz"]:
-        a_stokes, a_anti = params["area_2"], params["area_1"]
-    else:
-        a_stokes, a_anti = params["area_1"], params["area_2"]
-    r0 = math.inf if a_anti == 0 else (a_stokes / a_anti) * ratio_correction
-    ratios = Ratios(r0=r0, r_plus=r0, r_minus=r0)
-    n_bar = 1.0 / (r0 - 1.0) if math.isfinite(r0) and r0 > 1 else math.nan
+    guess = dict(zip(("center_1_hz", "center_2_hz", "gamma_eff_hz"), _initial_guess(freq, psd)))
+    theta0 = [hint.get(name, value) for name, value in guess.items()]
+    res, params, sigmas = _run_weighted_fit(_PairModel, theta0, freq, psd, data.n_avg)
+    params["gamma_eff_hz"] = abs(params["gamma_eff_hz"])
+    r0 = _ratio(*_stokes_anti(params, "area_{}"), ratio_correction)
     params["r0"] = r0
+    centers = (params["center_1_hz"], params["center_2_hz"])
     return FitResult(
         params=params,
         sigmas=sigmas,
-        chi2_reduced=_chi2_reduced(res, len(p)),
-        ratios=ratios,
-        n_bar_inferred=n_bar,
-        converged=converged,
+        chi2_reduced=_chi2_reduced(res, len(_PairModel.names)),
+        ratios=Ratios(r0=r0, r_plus=r0, r_minus=r0),
+        n_bar_inferred=1.0 / (r0 - 1.0) if math.isfinite(r0) and r0 > 1 else math.nan,
+        converged=bool(res.success),
         n_iter=int(res.nfev),
-        flags=tuple(flags),
+        flags=_coverage_flags(data, centers, params["gamma_eff_hz"]),
     )
 
 
 _S_SCAN = (0.02, 0.08, 0.18, 0.32, 0.5, 0.7, 0.9)
 
 
-def _scan_linear_start(gamma_eff_hz, freq, psd, sigma, c1, c2):
-    """Best (floor, s, areas) over a coarse s grid, areas by weighted linear LS.
+def _scan_linear_start(model, freq, psd, n_avg, c1, c2) -> float:
+    """q of the best point of a coarse s grid at the first-pass weights.
 
-    At fixed widths and centers the model is linear in floor and the four
-    component areas, so each grid point is one lstsq solve; this puts the
+    Each grid point costs one linear solve for floor and areas; this puts the
     nonlinear polish close to the optimum."""
-    target = psd / sigma
-    ones = 1.0 / sigma
-    best = None
-    for s in _S_SCAN:
-        gn, gb = gamma_eff_hz * (1 - s), gamma_eff_hz * (1 + s)
-        design = np.stack(
-            [
-                ones,
-                _lorentz(freq, c1, gn) / sigma,
-                _lorentz(freq, c1, gb) / sigma,
-                _lorentz(freq, c2, gn) / sigma,
-                _lorentz(freq, c2, gb) / sigma,
-            ],
-            axis=1,
-        )
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        cost = float(np.sum((design @ coef - target) ** 2))
-        if best is None or cost < best[0]:
-            best = (cost, s, coef)
-    _, s, coef = best
-    return [float(coef[0]), c1, c2, float(logit(s / S_MAX)), *map(float, coef[1:])]
+    proj = _Projection(model, freq, psd, _initial_sigma(psd, n_avg))
+    qs = logit(np.array(_S_SCAN) / S_MAX)
+    costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in qs]
+    return float(qs[int(np.argmin(costs))])
 
 
 def fit_double_pair(
@@ -414,62 +433,49 @@ def fit_double_pair(
     """Two Lorentzian pairs with widths Gamma_eff (1 -/+ s), s free (drive-on model).
 
     gamma_eff_fixed is angular (rad/s), normally the paired off-fit value.
-    Returns s and the broad/narrow area ratios R+ and R-.
+    Returns s and the broad/narrow area ratios R+ and R-.  `init_hint` may
+    set the starting center_1_hz, center_2_hz and s; without s the start
+    comes from a coarse s scan.
     """
     gamma_eff_hz = gamma_eff_fixed / TWO_PI
     if gamma_eff_hz <= 0:
         raise ValueError("gamma_eff_fixed must be positive")
-    model = _DoublePairModel(gamma_eff_hz)
+    hint = init_hint or {}
+    model = _TwoPairModel(gamma_eff_hz)
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
-    floor, c1, c2, _, a1, a2 = _initial_guess(freq, psd)
-    if init_hint:
-        c1 = init_hint.get("center_1_hz", c1)
-        c2 = init_hint.get("center_2_hz", c2)
-    sigma0 = np.maximum(_smooth(psd), _sigma_floor(psd)) / math.sqrt(data.n_avg)
-    guess = _scan_linear_start(gamma_eff_hz, freq, psd, sigma0, c1, c2)
-    if init_hint:
-        for i, name in enumerate(_DoublePairModel.names):
-            if name in init_hint:
-                guess[i] = init_hint[name]
-        if "s" in init_hint:
-            guess[3] = float(logit(min(max(init_hint["s"], 1e-6), S_MAX * 0.999) / S_MAX))
-    res, _ = _run_weighted_fit(model.model, model.jac, guess, freq, psd, data.n_avg)
-    p = res.x
-    s_hat = float(S_MAX * expit(p[3]))
-    e = expit(p[3])
-    ds_dq = S_MAX * e * (1 - e)
-
-    sig = _param_sigmas(res.jac)
-    params = dict(zip(_DoublePairModel.names, map(float, p)))
-    sigmas = dict(zip(_DoublePairModel.names, map(float, sig)))
+    if "center_1_hz" in hint and "center_2_hz" in hint:
+        c1, c2 = hint["center_1_hz"], hint["center_2_hz"]
+    else:
+        c1, c2, _ = _initial_guess(freq, psd)
+        c1, c2 = hint.get("center_1_hz", c1), hint.get("center_2_hz", c2)
+    if "s" in hint:
+        q0 = float(logit(min(max(hint["s"], 1e-6), S_MAX * 0.999) / S_MAX))
+    else:
+        q0 = _scan_linear_start(model, freq, psd, data.n_avg, c1, c2)
+    res, params, sigmas = _run_weighted_fit(model, (c1, c2, q0), freq, psd, data.n_avg)
+    e = expit(params["q"])
+    s_hat = float(S_MAX * e)
     params["s"] = s_hat
     params["gamma_eff_hz"] = gamma_eff_hz
-    sigmas["s"] = float(sig[3] * ds_dq)
+    sigmas["s"] = sigmas["q"] * s_hat * (1 - e)
 
-    flags = list(_coverage_flags(data, (p[1], p[2]), gamma_eff_hz))
+    centers = (params["center_1_hz"], params["center_2_hz"])
+    flags = list(_coverage_flags(data, centers, gamma_eff_hz))
     if s_hat < 1e-4:
         flags.append("s_at_lower_bound")
     if s_hat > S_MAX * 0.999:
         flags.append("s_at_upper_bound")
 
-    if params["center_2_hz"] >= params["center_1_hz"]:
-        a_s_n, a_s_b = params["area_2_narrow"], params["area_2_broad"]
-        a_a_n, a_a_b = params["area_1_narrow"], params["area_1_broad"]
-    else:
-        a_s_n, a_s_b = params["area_1_narrow"], params["area_1_broad"]
-        a_a_n, a_a_b = params["area_2_narrow"], params["area_2_broad"]
-    r_plus = (a_s_b / a_a_b) * ratio_correction if a_a_b != 0 else math.inf
-    r_minus = (a_s_n / a_a_n) * ratio_correction if a_a_n != 0 else math.inf
-    r0 = (
-        ((a_s_b + a_s_n) / (a_a_b + a_a_n)) * ratio_correction
-        if (a_a_b + a_a_n) != 0
-        else math.inf
-    )
+    stokes_n, anti_n = _stokes_anti(params, "area_{}_narrow")
+    stokes_b, anti_b = _stokes_anti(params, "area_{}_broad")
+    r_plus = _ratio(stokes_b, anti_b, ratio_correction)
+    r_minus = _ratio(stokes_n, anti_n, ratio_correction)
+    r0 = _ratio(stokes_b + stokes_n, anti_b + anti_n, ratio_correction)
     return FitResult(
         params=params,
         sigmas=sigmas,
-        chi2_reduced=_chi2_reduced(res, len(p)),
+        chi2_reduced=_chi2_reduced(res, len(model.names)),
         ratios=Ratios(r0=r0, r_plus=r_plus, r_minus=r_minus),
         n_bar_inferred=None,
         converged=bool(res.success),
@@ -492,28 +498,33 @@ def fit_pair_two_stage(pair: OnOffPair, ratio_correction: float = 1.0):
     return off, on
 
 
-def _bias_trial(args) -> float | None:
-    truth, root_seed, idx = args
+def _trial_fits(truth: ExperimentTruth, seed: int):
+    """Synthesize one on/off pair and fit it: (off, on), or None on failure."""
     rates_on, rates_off = truth.rates_pair()
     pair = synth_onoff_from_rates(
-        rates_on,
-        rates_off,
-        n_bar=truth.n_bar,
-        detection=truth.detection,
-        seed=root_seed,
+        rates_on, rates_off, n_bar=truth.n_bar, detection=truth.detection, seed=seed
     )
     try:
         off, on = fit_pair_two_stage(pair)
     except (np.linalg.LinAlgError, ValueError):
         return None
-    if not (off.converged and on.converged):
-        return None
-    return on.params["s"]
+    return (off, on) if off.converged and on.converged else None
+
+
+def _map_trials(trial, inputs, n_jobs: int, chunksize: int) -> list:
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(trial, inputs, chunksize=chunksize))
+    return [trial(item) for item in inputs]
+
+
+def _bias_trial(args) -> float | None:
+    truth, seed, _ = args
+    fits = _trial_fits(truth, seed)
+    return None if fits is None else fits[1].params["s"]
 
 
 def _trial_inputs(truth, root_seed: int, n_trials: int):
-    from .seeding import task_seed
-
     return [(truth, task_seed(root_seed, i), i) for i in range(n_trials)]
 
 
@@ -530,12 +541,7 @@ def bias_study(
         raise ValueError("bias study is defined for s = 0 truth")
     if n_trials < 100:
         raise ValueError("need at least 100 trials for reported moments")
-    inputs = _trial_inputs(truth, root_seed, n_trials)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_bias_trial, inputs, chunksize=32))
-    else:
-        results = [_bias_trial(item) for item in inputs]
+    results = _map_trials(_bias_trial, _trial_inputs(truth, root_seed, n_trials), n_jobs, 32)
     values = np.array([r for r in results if r is not None], dtype=float)
     n_failed = n_trials - values.size
     if values.size < 2:
@@ -562,16 +568,10 @@ def bias_study(
 
 def _recovery_trial(args) -> dict | None:
     truth, seed, idx = args
-    rates_on, rates_off = truth.rates_pair()
-    pair = synth_onoff_from_rates(
-        rates_on, rates_off, n_bar=truth.n_bar, detection=truth.detection, seed=seed
-    )
-    try:
-        off, on = fit_pair_two_stage(pair)
-    except (np.linalg.LinAlgError, ValueError):
+    fits = _trial_fits(truth, seed)
+    if fits is None:
         return None
-    if not (off.converged and on.converged):
-        return None
+    off, on = fits
     return {
         "index": idx,
         "s": on.params["s"],
@@ -588,12 +588,7 @@ def recovery_campaign(
     truth: ExperimentTruth, n_repeats: int, root_seed: int, n_jobs: int = 1
 ) -> list[dict]:
     """Repeated synth -> two-stage-fit rounds; per-repeat recovered values."""
-    inputs = _trial_inputs(truth, root_seed, n_repeats)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_recovery_trial, inputs, chunksize=8))
-    else:
-        results = [_recovery_trial(item) for item in inputs]
+    results = _map_trials(_recovery_trial, _trial_inputs(truth, root_seed, n_repeats), n_jobs, 8)
     kept = [r for r in results if r is not None]
     if len(kept) < 0.5 * n_repeats:
         raise FitFailureError("more than half of the campaign repeats failed to fit")

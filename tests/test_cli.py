@@ -211,6 +211,20 @@ class TestSynthFitFlow:
         off_fit = json.loads((fit_out / "fit_off.json").read_text())
         assert abs(off_fit["params"]["gamma_eff_hz"] - 100.0) < 10.0
 
+    def test_fit_rejects_non_finite_csv(self, tmp_path, capsys):
+        freq = 529000.0 + 0.2 * np.arange(32)
+        psd = np.ones(32)
+        path = tmp_path / "drive_off.csv"
+        SpectrumData(freq_hz=freq, psd=psd, n_avg=10).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[10] = f"{float(freq[7])!r},nan,0"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["fit", "--off", str(path), "--out-dir", str(tmp_path / "fits")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Traceback" not in err
+
     def test_physical_level_synth(self, tmp_path, paper_config_path):
         out = tmp_path / "phys"
         code = cli.main(

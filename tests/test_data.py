@@ -32,6 +32,15 @@ class TestSpectrumData:
         with pytest.raises(ValueError):
             SpectrumData(freq_hz=np.arange(4.0), psd=np.array([1.0, -0.1, 1.0, 1.0]), n_avg=1)
 
+    @pytest.mark.parametrize(
+        "field, bad", [("psd", np.nan), ("psd", np.inf), ("freq_hz", np.nan)]
+    )
+    def test_non_finite_bins_rejected(self, field, bad):
+        arrays = {"freq_hz": np.arange(4.0), "psd": np.ones(4)}
+        arrays[field][2] = bad
+        with pytest.raises(GridError, match=field):
+            SpectrumData(n_avg=1, **arrays)
+
     def test_mask_shape_enforced(self):
         with pytest.raises(GridError):
             SpectrumData(
@@ -54,6 +63,39 @@ class TestSpectrumData:
         assert np.array_equal(loaded.mask, data.mask)
         assert loaded.n_avg == 10
         assert loaded.meta["truth"]["s"] == 0.53
+
+
+    @pytest.mark.parametrize(
+        "index, line",
+        [
+            (5, "529000.2,1.5"),
+            (5, "529000.2,1.5,0,7"),
+            (5, "529000.2,abc,0"),
+            (1, '# meta: {"n_avg": 3'),
+        ],
+    )
+    def test_malformed_csv_line_names_file_and_line(self, tmp_path, index, line):
+        path = tmp_path / "spec.csv"
+        spectrum().to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[index] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridError, match=rf"spec\.csv:{index + 1}: malformed line"):
+            SpectrumData.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (",1.0,0\n", ",nan,0\n", "psd has 1 non-finite"),
+            (",1.0,0\n", ",-1.0,0\n", "psd must be nonnegative"),
+        ],
+    )
+    def test_bad_csv_values_name_file(self, tmp_path, old, new, message):
+        path = tmp_path / "spec.csv"
+        spectrum().to_csv(path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(GridError, match=rf"spec\.csv: {message}"):
+            SpectrumData.from_csv(path)
 
 
 class TestOnOffPair:

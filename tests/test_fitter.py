@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import TWO_PI
 from sqzband.data import SpectrumData
 from sqzband.errors import GridError
 from sqzband.fitter import (
+    S_MAX,
     ExperimentTruth,
     apply_mask,
     bias_study,
@@ -143,6 +145,124 @@ class TestDoublePairFit:
         values = np.array(values)
         assert abs(values.mean() - 0.53) < 0.012
         assert values.std(ddof=1) < 0.05
+
+
+def _unit_lorentz(f, center, gamma_hz):
+    return (gamma_hz / TWO_PI) / ((f - center) ** 2 + gamma_hz**2 / 4)
+
+
+def _single_pair_model(p, f):
+    floor, c1, c2, g, a1, a2 = p
+    return floor + a1 * _unit_lorentz(f, c1, g) + a2 * _unit_lorentz(f, c2, g)
+
+
+def _double_pair_model(gamma_eff_hz):
+    def model(p, f):
+        floor, c1, c2, q, a1n, a1b, a2n, a2b = p
+        s = S_MAX * expit(q)
+        gn, gb = gamma_eff_hz * (1 - s), gamma_eff_hz * (1 + s)
+        return (
+            floor
+            + a1n * _unit_lorentz(f, c1, gn)
+            + a1b * _unit_lorentz(f, c1, gb)
+            + a2n * _unit_lorentz(f, c2, gn)
+            + a2b * _unit_lorentz(f, c2, gb)
+        )
+
+    return model
+
+
+def _gradient_cosines(model, names, result, data):
+    """|J_k . r| / (|J_k| |r|) for each full-model parameter at the fit.
+
+    Full-model residuals weighted by sigma = model / sqrt(n_avg), as in the
+    fitter's last pass; J by central differences."""
+    sel = data.included()
+    f, y = data.freq_hz[sel], data.psd[sel]
+    p = np.array([result.params[name] for name in names])
+    fitted = model(p, f)
+    sigma = fitted / math.sqrt(data.n_avg)
+    r = (fitted - y) / sigma
+    cosines = []
+    for k in range(p.size):
+        h = 1e-6 * max(abs(p[k]), 1e-3)
+        up, down = p.copy(), p.copy()
+        up[k] += h
+        down[k] -= h
+        column = (model(up, f) - model(down, f)) / (2 * h) / sigma
+        cosines.append(abs(column @ r) / (np.linalg.norm(column) * np.linalg.norm(r)))
+    return np.array(cosines)
+
+
+class TestStationarity:
+    """The projected optimum is a stationary point of the full weighted problem."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.53])
+    def test_full_gradient_vanishes(self, s):
+        (off_data, _), (on_data, _), _ = noiseless_pair(truth_for(s))
+
+        # a deterministic ripple keeps the residual at the optimum nonzero
+        def rippled(data):
+            ripple = 1 + 0.02 * np.sin(TWO_PI * data.freq_hz / 13.7)
+            return SpectrumData(
+                freq_hz=data.freq_hz, psd=data.psd * ripple, n_avg=data.n_avg, mask=data.mask
+            )
+
+        off_data, on_data = rippled(off_data), rippled(on_data)
+        off = fit_single_pair(off_data)
+        off_names = ("floor", "center_1_hz", "center_2_hz", "gamma_eff_hz", "area_1", "area_2")
+        assert off.converged
+        assert _gradient_cosines(_single_pair_model, off_names, off, off_data).max() < 1e-5
+
+        gamma_eff_hz = off.params["gamma_eff_hz"]
+        on = fit_double_pair(on_data, TWO_PI * gamma_eff_hz)
+        on_names = (
+            "floor",
+            "center_1_hz",
+            "center_2_hz",
+            "q",
+            "area_1_narrow",
+            "area_1_broad",
+            "area_2_narrow",
+            "area_2_broad",
+        )
+        assert on.converged
+        assert on.params["s"] == pytest.approx(s, abs=2e-3)
+        cosines = _gradient_cosines(_double_pair_model(gamma_eff_hz), on_names, on, on_data)
+        assert cosines.max() < 1e-5
+
+
+class TestMirrorWidth:
+    @pytest.mark.parametrize("index", [427, 1417])
+    def test_off_fit_width_is_positive(self, paper_run_config, index):
+        # at these paper.ini seeds a fit with a signed width reaches the
+        # negative-width mirror (gamma ~ -100 Hz, negative areas)
+        exp = paper_run_config.experiment
+        truth = ExperimentTruth(
+            gamma_eff=TWO_PI * exp.gamma_eff_hz,
+            s=exp.s,
+            n_bar=exp.n_bar,
+            phi=math.radians(exp.phi_deg),
+            center_hz=exp.center_hz,
+            detection=paper_run_config.detection,
+        )
+        rates_on, rates_off = truth.rates_pair()
+        pair = synth_onoff_from_rates(
+            rates_on, rates_off, truth.n_bar, truth.detection, seed=task_seed(2024, index)
+        )
+        off, on = fit_pair_two_stage(pair)
+        assert off.converged and on.converged
+        assert off.params["gamma_eff_hz"] == pytest.approx(exp.gamma_eff_hz, rel=0.05)
+        assert off.params["area_1"] > 0 and off.params["area_2"] > 0
+        assert abs(on.params["s"] - exp.s) < 0.05
+
+
+class TestInitHint:
+    def test_hinted_start_reaches_the_same_fit(self):
+        (_, _), (on_data, _), _ = noiseless_pair(truth_for(0.53))
+        hint = {"center_1_hz": CENTER_HZ - 1.1e3, "center_2_hz": CENTER_HZ + 1.1e3, "s": 0.3}
+        hinted = fit_double_pair(on_data, TWO_PI * 100.0, init_hint=hint)
+        assert hinted.params["s"] == pytest.approx(0.53, rel=1e-6)
 
 
 class TestWeightScaling:
