@@ -519,6 +519,7 @@ def cmd_experiment(args) -> int:
     s_values = np.array(columns["s"])
     gamma_values = np.array(columns["gamma_eff_hz"])
     n_values = np.array([v for v in columns["n_bar"] if not math.isnan(v)])
+    s_sigmas = np.array([v for v in columns["s_sigma_fit"] if not math.isnan(v)])
     summary = {
         "truth": {
             "s": truth.s,
@@ -529,13 +530,16 @@ def cmd_experiment(args) -> int:
         "n_recovered": len(results),
         "s_mean": float(s_values.mean()),
         "s_std_ensemble": float(s_values.std(ddof=1)),
-        "s_sigma_fit_mean": float(np.mean(columns["s_sigma_fit"])),
+        "s_sigma_fit_mean": float(s_sigmas.mean()) if s_sigmas.size else math.nan,
+        "s_sigma_fit_undefined": len(results) - s_sigmas.size,
         "s_bias": float(s_values.mean() - truth.s),
         "gamma_eff_hz_mean": float(gamma_values.mean()),
         "gamma_eff_hz_std_ensemble": float(gamma_values.std(ddof=1)),
         "n_bar_mean": float(n_values.mean()) if n_values.size else math.nan,
         "sigma_note": (
-            "s_sigma_fit_mean is the local-quadratic per-fit error; "
+            "s_sigma_fit_mean is the local-quadratic per-fit error, averaged "
+            "over repeats whose s is off the lower bound (s_sigma_fit_undefined "
+            "counts the others, NaN in campaign.csv); "
             "*_std_ensemble is the scatter over independent repeats"
         ),
     }

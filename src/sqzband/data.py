@@ -1,9 +1,11 @@
 """Spectrum data containers and their CSV form.
 
 SpectrumData is the one averaged-periodogram type shared by the synthesizer,
-the PSD estimators and the fitter.  CSV layout: comment header lines with a
-small JSON metadata blob (n_avg, seed, truth parameters), then
-``freq_hz,psd,mask`` rows.
+the PSD estimators and the fitter.  CSV layout (written by io.write_csv):
+comment header lines with a small JSON metadata blob (n_avg, seed, truth
+parameters), then ``freq_hz,psd,mask`` rows with shortest-repr floats and a
+0/1 mask.  The reader parses the data block in one numpy call; '#' and
+blank lines may appear anywhere.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import numpy as np
 
 from .core import SystemParams
 from .errors import GridError
+from .io import write_csv
 
 _GRID_RTOL = 1e-9
+_META_PREFIX = "# meta:"
+_ROW = np.dtype([("freq_hz", float), ("psd", float), ("mask", np.int64)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +33,6 @@ class SpectrumData:
     psd: np.ndarray
     n_avg: int
     mask: np.ndarray = None  # True = excluded from fits
-    resolution_hz: float = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -57,7 +61,10 @@ class SpectrumData:
         if mask.shape != freq.shape:
             raise GridError("mask shape must match the grid")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "resolution_hz", float(step))
+
+    @property
+    def resolution_hz(self) -> float:
+        return float(self.freq_hz[1] - self.freq_hz[0])
 
     @property
     def n_bins(self) -> int:
@@ -77,37 +84,76 @@ class SpectrumData:
         )
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        lines = [
-            "# sqzband spectrum",
-            f"# meta: {json.dumps({'n_avg': self.n_avg, **self.meta}, sort_keys=True)}",
-            "freq_hz,psd,mask",
-        ]
-        for f, p, m in zip(self.freq_hz, self.psd, self.mask):
-            lines.append(f"{float(f)!r},{float(p)!r},{int(m)}")
-        path.write_text("\n".join(lines) + "\n")
+        meta = json.dumps({"n_avg": self.n_avg, **self.meta}, sort_keys=True)
+        write_csv(
+            path,
+            {"freq_hz": self.freq_hz, "psd": self.psd, "mask": self.mask},
+            ["sqzband spectrum", f"meta: {meta}"],
+        )
 
     @classmethod
     def from_csv(cls, path) -> "SpectrumData":
-        meta = {}
-        rows = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            try:
-                if line.startswith("# meta:"):
-                    meta = json.loads(line[len("# meta:") :])
-                elif not (line.startswith(("#", "freq_hz")) or not line.strip()):
-                    f, p, m = line.split(",")
-                    rows.append((float(f), float(p), bool(int(m))))
-            except ValueError:
-                raise GridError(f"{path}:{lineno}: malformed line {line!r}") from None
-        if not rows:
-            raise GridError(f"no data rows in {path}")
-        freq, psd, mask = (np.array(col) for col in zip(*rows))
+        lines = Path(path).read_text().splitlines()
+        try:
+            meta, freq, psd, mask = _parse_block(lines)
+        except ValueError:
+            meta, freq, psd, mask = _parse_rows(path, lines)
         try:
             n_avg = int(meta.pop("n_avg", 1))
-            return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask.astype(bool), meta=meta)
+            return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask, meta=meta)
         except (GridError, ValueError) as exc:
             raise GridError(f"{path}: {exc}") from None
+
+
+def _is_data(line: str) -> bool:
+    return bool(line.strip()) and not line.startswith(("#", "freq_hz"))
+
+
+def _parse_block(lines: list[str]):
+    """(meta, freq, psd, mask): the header, then the data block in one numpy call.
+
+    Raises ValueError on any line after the header that numpy does not take
+    as a row: a comment or blank line there, or a value numpy's parser is
+    stricter about than float()/int() (underscores, non-ASCII digits).
+    """
+    meta = {}
+    start = 0
+    while start < len(lines) and not _is_data(lines[start]):
+        if lines[start].startswith(_META_PREFIX):
+            meta = json.loads(lines[start][len(_META_PREFIX) :])
+        start += 1
+    if start == len(lines):
+        raise ValueError("no data rows")
+    rows = np.loadtxt(lines[start:], dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    return (
+        meta,
+        np.ascontiguousarray(rows["freq_hz"]),
+        np.ascontiguousarray(rows["psd"]),
+        rows["mask"].astype(bool),
+    )
+
+
+def _parse_rows(path, lines: list[str]):
+    """Line-by-line parse of any file _parse_block refuses.
+
+    Skips '#' and blank lines anywhere and names the first malformed line;
+    it defines which files are accepted.
+    """
+    meta = {}
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            if line.startswith(_META_PREFIX):
+                meta = json.loads(line[len(_META_PREFIX) :])
+            elif _is_data(line):
+                f, p, m = line.split(",")
+                rows.append((float(f), float(p), bool(int(m))))
+        except ValueError:
+            raise GridError(f"{path}:{lineno}: malformed line {line!r}") from None
+    if not rows:
+        raise GridError(f"no data rows in {path}")
+    freq, psd, mask = (np.array(col) for col in zip(*rows))
+    return meta, freq, psd, mask
 
 
 @dataclass(frozen=True, eq=False)

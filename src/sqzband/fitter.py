@@ -55,7 +55,9 @@ class FitResult:
     """Fitted parameters (Hz at the data boundary), uncertainties, ratios.
 
     ``n_iter`` counts the evaluations of the reduced (projected) problem in
-    the last reweighting pass.
+    the last reweighting pass.  ``sigmas["s"]`` of a drive-on fit is NaN when
+    the ``s_at_lower_bound`` flag is set: the model is even in s, so the
+    linearised uncertainty is undefined at s -> 0.
     """
 
     params: dict
@@ -464,6 +466,8 @@ def fit_double_pair(
     flags = list(_coverage_flags(data, centers, gamma_eff_hz))
     if s_hat < 1e-4:
         flags.append("s_at_lower_bound")
+        # the model is even in s: sigma_q ds/dq -> 0 there says nothing about s
+        sigmas["s"] = math.nan
     if s_hat > S_MAX * 0.999:
         flags.append("s_at_upper_bound")
 

@@ -11,19 +11,38 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 
 def write_csv(path, columns: dict, comments: list[str] | None = None) -> Path:
-    """Column-oriented CSV with optional '#' comment header lines."""
+    """Column-oriented CSV with optional '#' comment header lines.
+
+    Floats are written as their shortest repr (exact read-back), bools as
+    0/1; each ndarray column is formatted in one pass.
+    """
     path = Path(path)
-    names = list(columns)
-    rows = zip(*(columns[name] for name in names))
+    cells = [_format_column(values) for values in columns.values()]
     lines = [f"# {text}" for text in (comments or [])]
-    lines.append(",".join(names))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*cells)))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _format_column(values):
+    """The cells of one column, each as _format_cell writes it."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1):
+        return map(_format_cell, values)
+    items = values.tolist()  # numpy scalars -> plain python, as .item()
+    kind = values.dtype.kind
+    if kind == "f" and values.dtype.itemsize <= 8:  # longdouble stays a numpy scalar
+        return map(repr, items)
+    if kind == "b":
+        return ["1" if v else "0" for v in items]
+    if kind in "iu":
+        return map(str, items)
+    return map(_format_cell, items)
 
 
 def _format_cell(value) -> str:

@@ -57,11 +57,21 @@ class SpectrumModel:
             raise ValueError("calibration must be nonnegative")
 
     def psd(self, omega) -> np.ndarray:
+        """Same arithmetic as summing Lorentzian.psd, with (omega - center)^2
+        computed once per distinct center and the terms built in place."""
         omega = np.asarray(omega, dtype=float)
         total = np.zeros_like(omega)
+        term = np.empty_like(omega)
+        d2 = {}
         for c in self.components:
-            total += c.psd(omega)
-        return self.floor + self.calibration * total
+            if c.center not in d2:
+                d = np.subtract(omega, c.center, out=np.empty_like(omega))
+                d2[c.center] = np.multiply(d, d, out=d)
+            np.add(d2[c.center], c.width**2 / 4, out=term)
+            total += np.divide(c.area_weight * c.width, term, out=term)
+        total *= self.calibration
+        total += self.floor
+        return total
 
     def psd_hz(self, freq_hz) -> np.ndarray:
         """Same model sampled on an ordinary-frequency grid (Hz)."""

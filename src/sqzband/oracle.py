@@ -218,9 +218,7 @@ def propagate_spectra(
         )
     corr = correlators.matrix()
 
-    def one_sign(d):
-        tr_pos = tm.inverse(d)
-        tr_neg = tm.inverse(-d)
+    def one_sign(tr_pos, tr_neg):
         stokes = _contract(tr_neg, tr_pos, corr, 0, 1).real
         anti = _contract(tr_neg, tr_pos, corr, 1, 0).real
         quads = {}
@@ -228,15 +226,17 @@ def propagate_spectra(
             phase = np.exp(1j * th)
             v_pos = (phase * tr_pos[:, 0, :] + np.conj(phase) * tr_pos[:, 1, :]) / 2
             v_neg = (phase * tr_neg[:, 0, :] + np.conj(phase) * tr_neg[:, 1, :]) / 2
-            total = np.zeros(d.size, dtype=complex)
+            total = np.zeros(grid.size, dtype=complex)
             for i in range(2):
                 for j in range(2):
                     total += v_neg[:, i] * v_pos[:, j] * corr[i, j]
             quads[th] = total.real
         return stokes, anti, quads
 
-    s_p, a_p, q_p = one_sign(grid)
-    s_m, a_m, q_m = one_sign(-grid)
+    inv_pos, inv_neg = tm.inverse(grid), tm.inverse(-grid)
+    s_p, a_p, q_p = one_sign(inv_pos, inv_neg)
+    s_m, a_m, q_m = one_sign(inv_neg, inv_pos)
+    del inv_pos, inv_neg
     quadratures = {th: 0.5 * (q_p[th] + q_m[th]) for th in thetas}
     return PropagatedSpectra(
         grid=grid,

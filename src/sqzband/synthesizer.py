@@ -28,7 +28,7 @@ import numpy as np
 from .core import TWO_PI, DerivedRates, PumpConfig, SystemParams, derive_all
 from .data import OnOffPair, SpectrumData
 from .errors import GridError
-from .lineshape import SpectrumModel, heterodyne_composite
+from .lineshape import heterodyne_composite
 from .oracle import EnvelopeTrace, sde_simulate
 from .seeding import task_rng, task_seed
 
@@ -87,22 +87,24 @@ def band_mask(freq_hz: np.ndarray, centers_hz, halfwidth_hz: float) -> np.ndarra
 
 
 def synth_periodogram(
-    model: SpectrumModel,
+    mean_psd: np.ndarray,
     freq_hz: np.ndarray,
     n_avg: int,
     seed: int,
     mask: np.ndarray | None = None,
     meta: dict | None = None,
 ) -> SpectrumData:
-    """Noisy averaged periodogram: bin ~ model * Gamma(n_avg, 1/n_avg).
+    """Noisy averaged periodogram: bin ~ mean_psd * Gamma(n_avg, 1/n_avg).
 
-    Per-bin mean equals the model, relative standard deviation 1/sqrt(n_avg);
-    bins are independent.  Deterministic per seed.
+    `mean_psd` is the model sampled on `freq_hz` (e.g. the PSD that
+    heterodyne_composite returns).  Per-bin mean equals the model, relative
+    standard deviation 1/sqrt(n_avg); bins are independent.  Deterministic
+    per seed.
     """
     if n_avg < 1:
         raise ValueError("n_avg must be >= 1")
     freq_hz = np.asarray(freq_hz, dtype=float)
-    truth = model.psd_hz(freq_hz)
+    truth = np.asarray(mean_psd, dtype=float)
     if np.any(truth < 0):
         raise ValueError("model PSD must be nonnegative on the grid")
     rng = np.random.default_rng(seed)
@@ -264,11 +266,11 @@ def synth_onoff_from_rates(
 
     spectra = {}
     for label, rates, idx in (("on", rates_on, 0), ("off", rates_off, 1)):
-        model, _ = heterodyne_composite(
+        _, mean_psd = heterodyne_composite(
             rates, n_bar, detection.delta_lo, cal, detection.floor, grid
         )
         spectra[label] = synth_periodogram(
-            model,
+            mean_psd,
             freq,
             n_avg,
             seed=task_seed(seed, idx),

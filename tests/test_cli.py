@@ -349,6 +349,21 @@ class TestExperimentCommand:
         for col in ("psd", "model_total", "stokes_narrow", "antistokes_broad"):
             assert col in overlay.dtype.names
 
+    def test_boundary_sigma_left_out_of_summary(self, tmp_path, paper_config_path):
+        text = paper_config_path.read_text().replace("\ns = 0.53", "\ns = 0.0")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "exp"
+        args = ["experiment", "--config", str(path), "--out-dir", str(out)]
+        assert cli.main(args + ["--n-repeats", "8", "--seed", "12"]) == 0
+        rows = load_table(out / "campaign.csv")
+        undefined = np.isnan(rows["s_sigma_fit"])
+        assert np.array_equal(undefined, rows["s"] < 1e-4)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["s_sigma_fit_undefined"] == undefined.sum() > 0
+        assert summary["s_sigma_fit_mean"] == pytest.approx(
+            rows["s_sigma_fit"][~undefined].mean(), rel=1e-12
+        )
+
 
 class TestBiasCommand:
     def test_quick_mode_and_determinism(self, tmp_path, paper_config_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,32 @@ from sqzband.data import OnOffPair, SpectrumData
 from sqzband.errors import GridError
 
 TWO_PI = 2 * np.pi
+
+# shortest reprs that are long, subnormal, huge or off by one ulp
+AWKWARD_PSD = [5e-324, 1e22, 0.1 + 0.2, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.0, 1e-7, 1.2345678901234568e17]
+
+
+def awkward_spectrum():
+    freq = 518799.8 + 0.2 * np.arange(-4, 4)  # 518799.39999999997 at index 2
+    freq[4] = 518799.80000000005  # one ulp above 518799.8
+    return SpectrumData(
+        freq_hz=freq,
+        psd=np.array(AWKWARD_PSD),
+        n_avg=10,
+        mask=np.array([1, 0, 0, 1, 0, 1, 1, 0], dtype=bool),
+        meta={"seed": 7, "truth": {"s": 0.53}},
+    )
+
+
+def row_format(data):
+    """The spectrum CSV as the per-row writer formats it."""
+    meta = json.dumps({"n_avg": data.n_avg, **data.meta}, sort_keys=True)
+    lines = ["# sqzband spectrum", f"# meta: {meta}", "freq_hz,psd,mask"]
+    lines += [f"{f!r},{p!r},{int(m)}" for f, p, m in zip(
+        data.freq_hz.tolist(), data.psd.tolist(), data.mask.tolist()
+    )]
+    return "\n".join(lines) + "\n"
 
 
 def spectrum(n=16, n_avg=3, start=100.0, step=0.5):
@@ -65,6 +93,50 @@ class TestSpectrumData:
         assert loaded.meta["truth"]["s"] == 0.53
 
 
+    def test_csv_bytes_match_row_format(self, tmp_path):
+        data = awkward_spectrum()
+        path = tmp_path / "spec.csv"
+        data.to_csv(path)
+        text = path.read_text()
+        assert text == row_format(data)
+        assert "\n518799.0,5e-324,1\n518799.2,1e+22,0\n" in text
+        assert "\n518799.39999999997,0.30000000000000004,0\n" in text
+        assert "\n518799.80000000005,1.7976931348623157e+308,0\n" in text
+
+    def test_awkward_floats_read_back_exactly(self, tmp_path):
+        data = awkward_spectrum()
+        path = tmp_path / "spec.csv"
+        data.to_csv(path)
+        loaded = SpectrumData.from_csv(path)
+        assert loaded.freq_hz.tobytes() == data.freq_hz.tobytes()
+        assert loaded.psd.tobytes() == data.psd.tobytes()
+        assert np.array_equal(loaded.mask, data.mask)
+        assert loaded.meta == data.meta and loaded.n_avg == 10
+        assert loaded.freq_hz.flags.c_contiguous and loaded.psd.flags.c_contiguous
+
+    def test_comment_and_blank_lines_skipped_anywhere(self, tmp_path):
+        data = spectrum()
+        path = tmp_path / "spec.csv"
+        data.to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[6:6] = ["# a note", "", "   ", "freq_hz,psd,mask"]
+        lines.append("")
+        path.write_text("\n".join(lines) + "\n")
+        loaded = SpectrumData.from_csv(path)
+        assert np.array_equal(loaded.freq_hz, data.freq_hz)
+        assert np.array_equal(loaded.psd, data.psd)
+        assert loaded.n_avg == data.n_avg
+
+    def test_values_float_and_int_accept_still_read(self, tmp_path):
+        # underscores and a '+' sign: accepted by float()/int() as before
+        path = tmp_path / "spec.csv"
+        spectrum().to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[5] = "101.0,1_5.0,+1"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = SpectrumData.from_csv(path)
+        assert loaded.psd[2] == 15.0 and loaded.mask[2]
+
     @pytest.mark.parametrize(
         "index, line",
         [
@@ -72,6 +144,9 @@ class TestSpectrumData:
             (5, "529000.2,1.5,0,7"),
             (5, "529000.2,abc,0"),
             (1, '# meta: {"n_avg": 3'),
+            (5, "100.5,1.5,0.5"),
+            (5, "100.5,1.5,1.0"),
+            (9, "103.0,1.5,1 # inline comment"),
         ],
     )
     def test_malformed_csv_line_names_file_and_line(self, tmp_path, index, line):

@@ -257,6 +257,27 @@ class TestMirrorWidth:
         assert abs(on.params["s"] - exp.s) < 0.05
 
 
+class TestBoundarySigma:
+    @pytest.mark.parametrize("index, at_bound", [(3, True), (0, False)])
+    def test_sigma_s_undefined_only_at_lower_bound(self, index, at_bound):
+        # criterion-6 trials (s = 0 truth, root seed 1234): trial 3 walks to
+        # s -> 0, trial 0 stays interior
+        det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=300.0, snr=30.0, n_avg=1200)
+        rates_on, rates_off = truth_for(0.0, detection=det).rates_pair()
+        pair = synth_onoff_from_rates(
+            rates_on, rates_off, n_bar=5.8, detection=det, seed=task_seed(1234, index)
+        )
+        _, on = fit_pair_two_stage(pair)
+        assert ("s_at_lower_bound" in on.flags) == at_bound
+        assert np.isfinite(on.sigmas["q"])
+        if at_bound:
+            assert math.isnan(on.sigmas["s"])
+        else:
+            e = expit(on.params["q"])
+            assert on.sigmas["s"] == on.sigmas["q"] * on.params["s"] * (1 - e)
+            assert 0 < on.sigmas["s"] < 0.1
+
+
 class TestInitHint:
     def test_hinted_start_reaches_the_same_fit(self):
         (_, _), (on_data, _), _ = noiseless_pair(truth_for(0.53))

@@ -34,14 +34,14 @@ class TestSynthPeriodogram:
     def test_large_averages_recover_model(self):
         freq = np.linspace(0, 100, 64)
         model = flat_model(3.0)
-        data = synth_periodogram(model, freq, n_avg=10**6, seed=5)
+        data = synth_periodogram(model.psd_hz(freq), freq, n_avg=10**6, seed=5)
         assert np.all(np.abs(data.psd / 3.0 - 1) < 0.005)
 
     def test_relative_scatter_matches_gamma_law(self):
         freq = np.linspace(0, 100, 101)
-        model = flat_model(1.0)
+        mean = flat_model(1.0).psd_hz(freq)
         draws = np.stack(
-            [synth_periodogram(model, freq, n_avg=10, seed=k).psd for k in range(100)]
+            [synth_periodogram(mean, freq, n_avg=10, seed=k).psd for k in range(100)]
         )
         rel_std = draws.std(axis=0, ddof=1).mean()
         assert rel_std == pytest.approx(1 / math.sqrt(10), rel=0.05)
@@ -50,9 +50,9 @@ class TestSynthPeriodogram:
 
     def test_deterministic_per_seed(self):
         freq = np.linspace(0, 10, 32)
-        model = flat_model()
-        a = synth_periodogram(model, freq, n_avg=7, seed=42)
-        b = synth_periodogram(model, freq, n_avg=7, seed=42)
+        mean = flat_model().psd_hz(freq)
+        a = synth_periodogram(mean, freq, n_avg=7, seed=42)
+        b = synth_periodogram(mean, freq, n_avg=7, seed=42)
         assert np.array_equal(a.psd, b.psd)
         assert a.n_avg == 7 and a.meta["seed"] == 42
 
@@ -60,8 +60,9 @@ class TestSynthPeriodogram:
         bad = SpectrumModel(
             components=(Lorentzian(0.0, TWO_PI * 10.0, -5.0),), floor=0.0
         )
+        freq = np.linspace(-5, 5, 11)
         with pytest.raises(ValueError):
-            synth_periodogram(bad, np.linspace(-5, 5, 11), n_avg=5, seed=1)
+            synth_periodogram(bad.psd_hz(freq), freq, n_avg=5, seed=1)
 
 
 class TestSynthTimeseries:
