@@ -331,6 +331,11 @@ def _iterate_resonance(
         field = intracavity_amplitudes(params, pump, omega)
         shift = params.g0**2 * _response_sum(params, field, omega).imag
         new = params.omega_m0 + shift
+        if new <= 0:
+            raise SelfConsistencyError(
+                "spring shift drives the resonance to a non-positive frequency: "
+                "outside weak-coupling validity"
+            )
         if abs(new - omega) < tol:
             return new, it
         omega = new

@@ -3,8 +3,9 @@
 Two validation routes that fail independently of the closed forms:
 
 * `propagate_spectra` solves the 2x2 rotating-frame linear system bin by bin
-  (numeric matrix inversion, no closed-form substitutions) and contracts the
-  solution with the full input correlator matrix, anomalous entries included.
+  (adjugate over determinant, both computed from the numeric matrix entries
+  of each bin, no closed-form substitutions) and contracts the solution with
+  the full input correlator matrix, anomalous entries included.
   The raw contraction carries an odd-in-frequency interference term from the
   anomalous correlator; the measurement protocol records symmetrized spectra,
   so the outputs are symmetrized over +/- offsets, after which they must
@@ -14,7 +15,9 @@ Two validation routes that fail independently of the closed forms:
   Euler-Maruyama and isotropic white noise calibrated so that symmetrized
   quadrature spectra match S_XX / S_YY.  Operator ordering (the sideband
   asymmetry) is invisible to a classical trajectory; only symmetrized
-  quantities are validated this way.
+  quantities are validated this way.  `welch_psd` is the one averaged-
+  periodogram estimator; `synthesizer.segment_average` is its rectangular-
+  window, zero-overlap case.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ class IllConditionedWarning(UserWarning):
     """2x2 system close to singular (|s| -> 1 near zero offset)."""
 
 
+def _determinant(m: np.ndarray) -> np.ndarray:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Rotating-frame system matrix: diagonal -i dW + G_eff/2, off-diagonal
@@ -58,12 +65,25 @@ class TransferMatrix:
         return m
 
     def determinant(self, grid) -> np.ndarray:
-        m = self.matrix(grid)
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        return _determinant(self.matrix(grid))
 
     def inverse(self, grid) -> np.ndarray:
-        """Numeric inverse of the stacked 2x2 systems."""
-        return np.linalg.inv(self.matrix(grid))
+        """Inverse of the stacked 2x2 systems: adjugate over determinant, both
+        formed from the entries of `matrix(grid)`.  Raises LinAlgError where a
+        determinant is zero or not finite, as `np.linalg.inv` does for a
+        singular matrix."""
+        m = self.matrix(grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            det = _determinant(m)
+        if not np.all(np.isfinite(det) & (det != 0)):
+            raise np.linalg.LinAlgError("singular transfer matrix")
+        adj = np.empty_like(m)
+        adj[..., 0, 0] = m[..., 1, 1]
+        adj[..., 1, 1] = m[..., 0, 0]
+        adj[..., 0, 1] = -m[..., 0, 1]
+        adj[..., 1, 0] = -m[..., 1, 0]
+        adj /= det[..., None, None]
+        return adj
 
     def condition_numbers(self, grid) -> np.ndarray:
         """Exact 2-norm condition number (the matrix is normal, so the
@@ -182,12 +202,12 @@ class EnvelopeTrace:
         return cls(samples=samples, dt=float(fields["dt"]), seed=int(fields["seed"]))
 
 
-def _contract(tr_neg, tr_pos, corr, row_left: int, row_right: int) -> np.ndarray:
-    """sum_ij T(-dW)[left,i] T(+dW)[right,j] M_ij for stacked transfer arrays."""
-    total = np.zeros(tr_pos.shape[0], dtype=complex)
+def _contract(left: np.ndarray, right: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """sum_ij left[:, i] right[:, j] M_ij for stacked solution rows."""
+    total = np.zeros(left.shape[0], dtype=complex)
     for i in range(2):
         for j in range(2):
-            total += tr_neg[:, row_left, i] * tr_pos[:, row_right, j] * corr[i, j]
+            total += left[:, i] * right[:, j] * corr[i, j]
     return total
 
 
@@ -199,8 +219,9 @@ def propagate_spectra(
 ) -> PropagatedSpectra:
     """Sideband and quadrature spectra by frequency-domain covariance propagation.
 
-    For each offset the 2x2 system is inverted numerically and the solution
-    rows are contracted with the correlator matrix; quadrature rows are
+    At each offset the 2x2 system is solved (adjugate over determinant, see
+    `TransferMatrix.inverse`) and the solution rows are contracted with the
+    correlator matrix: T(-dW)[left, :] M T(+dW)[right, :]; quadrature rows are
     (e^{i th} T[0,:] + e^{-i th} T[1,:]) / 2.  Outputs are symmetrized over
     +/- offsets (see module docstring).
     """
@@ -218,30 +239,23 @@ def propagate_spectra(
         )
     corr = correlators.matrix()
 
-    def one_sign(tr_pos, tr_neg):
-        stokes = _contract(tr_neg, tr_pos, corr, 0, 1).real
-        anti = _contract(tr_neg, tr_pos, corr, 1, 0).real
-        quads = {}
-        for th in thetas:
-            phase = np.exp(1j * th)
-            v_pos = (phase * tr_pos[:, 0, :] + np.conj(phase) * tr_pos[:, 1, :]) / 2
-            v_neg = (phase * tr_neg[:, 0, :] + np.conj(phase) * tr_neg[:, 1, :]) / 2
-            total = np.zeros(grid.size, dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    total += v_neg[:, i] * v_pos[:, j] * corr[i, j]
-            quads[th] = total.real
-        return stokes, anti, quads
+    def symmetrized(left_pos, right_pos, left_neg, right_neg):
+        """Real part of left(-dW) M right(+dW), averaged with the same at dW -> -dW."""
+        plus = _contract(left_neg, right_pos, corr).real
+        minus = _contract(left_pos, right_neg, corr).real
+        return 0.5 * (plus + minus)
 
     inv_pos, inv_neg = tm.inverse(grid), tm.inverse(-grid)
-    s_p, a_p, q_p = one_sign(inv_pos, inv_neg)
-    s_m, a_m, q_m = one_sign(inv_neg, inv_pos)
-    del inv_pos, inv_neg
-    quadratures = {th: 0.5 * (q_p[th] + q_m[th]) for th in thetas}
+    quadratures = {}
+    for th in thetas:
+        phase = np.exp(1j * th)
+        v_pos = (phase * inv_pos[:, 0, :] + np.conj(phase) * inv_pos[:, 1, :]) / 2
+        v_neg = (phase * inv_neg[:, 0, :] + np.conj(phase) * inv_neg[:, 1, :]) / 2
+        quadratures[th] = symmetrized(v_pos, v_pos, v_neg, v_neg)
     return PropagatedSpectra(
         grid=grid,
-        stokes=0.5 * (s_p + s_m),
-        antistokes=0.5 * (a_p + a_m),
+        stokes=symmetrized(inv_pos[:, 0], inv_pos[:, 1], inv_neg[:, 0], inv_neg[:, 1]),
+        antistokes=symmetrized(inv_pos[:, 1], inv_pos[:, 0], inv_neg[:, 1], inv_neg[:, 0]),
         quadratures=quadratures,
         max_condition=max_cond,
     )
@@ -280,7 +294,11 @@ def sde_simulate(
 
     u = ou_chain(rates.gamma_plus)  # squeezed quadrature, width Gamma_+
     v = ou_chain(rates.gamma_minus)  # amplified quadrature, width Gamma_-
-    beta = np.exp(1j * rates.phi / 2) * (u + 1j * v)
+    beta = np.empty(n, dtype=complex)
+    beta.real, beta.imag = u, v
+    # built in place; the scalar stays on the left, which keeps the samples
+    # bit-identical to exp(i phi/2) * (u + i v)
+    np.multiply(np.exp(1j * rates.phi / 2), beta, out=beta)
     return EnvelopeTrace(samples=beta, dt=dt, seed=seed)
 
 
@@ -299,9 +317,11 @@ def welch_psd(
     """Averaged-periodogram PSD estimate (density scaling).
 
     Accepts an EnvelopeTrace or a plain array with explicit dt.  Real input
-    gives a one-sided spectrum, complex input a two-sided one on an
-    ascending grid.  Resolution is 1/(segment duration); n_avg records the
-    number of (overlapping) segments averaged.
+    gives a one-sided spectrum (real FFT, every bin but DC and Nyquist
+    doubled), complex input a two-sided one on an ascending grid.
+    Resolution is 1/(segment duration); n_avg records the number of
+    (overlapping) segments averaged.  Segment periodograms are summed one
+    at a time, so the working memory beyond the output is one segment.
     """
     if isinstance(trace, EnvelopeTrace):
         samples, dt = trace.samples, trace.dt
@@ -321,29 +341,21 @@ def welch_psd(
         raise GridError("need at least 2 averaging segments")
 
     is_complex = np.iscomplexobj(samples)
-    fs = 1.0 / dt
+    transform = np.fft.fft if is_complex else np.fft.rfft
     taper = get_window(window, segment_length, fftbins=True)
-    norm = fs * np.sum(taper**2)
-    psd_sum = None
+    psd = np.zeros(segment_length if is_complex else segment_length // 2 + 1)
     for k in range(n_seg):
-        seg = samples[k * step : k * step + segment_length] * taper
-        spec = np.fft.fft(seg)
-        p = (spec * np.conj(spec)).real / norm
-        psd_sum = p if psd_sum is None else psd_sum + p
-    psd = psd_sum / n_seg
-    freq = np.fft.fftfreq(segment_length, d=dt)
+        spec = transform(samples[k * step : k * step + segment_length] * taper)
+        psd += spec.real**2
+        psd += spec.imag**2
+    psd /= n_seg * np.sum(taper**2) / dt  # density scaling, mean over segments
     if is_complex:
-        freq, psd = np.fft.fftshift(freq), np.fft.fftshift(psd)
+        freq = np.fft.fftshift(np.fft.fftfreq(segment_length, d=dt))
+        psd = np.fft.fftshift(psd)
     else:
-        half = segment_length // 2 + 1
-        freq = freq[:half].copy()
-        psd = psd[:half].copy()
-        if segment_length % 2 == 0:
-            freq[-1] = -freq[-1]  # Nyquist bin, reported positive
-            psd[1:-1] *= 2
-        else:
-            psd[1:] *= 2
-    psd = np.clip(psd, 0.0, None)
+        freq = np.fft.rfftfreq(segment_length, d=dt)
+        nyquist = segment_length % 2 == 0
+        psd[1 : psd.size - nyquist] *= 2  # fold in the negative frequencies
     return SpectrumData(
         freq_hz=freq,
         psd=psd,

@@ -29,7 +29,7 @@ from .core import TWO_PI, DerivedRates, PumpConfig, SystemParams, derive_all
 from .data import OnOffPair, SpectrumData
 from .errors import GridError
 from .lineshape import heterodyne_composite
-from .oracle import EnvelopeTrace, sde_simulate
+from .oracle import EnvelopeTrace, sde_simulate, welch_psd
 from .seeding import task_rng, task_seed
 
 
@@ -186,9 +186,10 @@ def segment_average(
 ) -> SpectrumData:
     """Non-overlapping rectangular-window periodograms, averaged.
 
-    Resolution is 1/segment_seconds; if resolution_hz is passed it must
-    agree.  The segment length must land on the sample grid.  Complex input
-    yields a two-sided spectrum, real input one-sided.
+    `welch_psd` with a boxcar window and zero overlap.  Resolution is
+    1/segment_seconds; if resolution_hz is passed it must agree.  The
+    segment length must land on the sample grid.  Complex input yields a
+    two-sided spectrum, real input one-sided.
     """
     if isinstance(trace, EnvelopeTrace):
         samples, dt = trace.samples, trace.dt
@@ -206,31 +207,8 @@ def segment_average(
             f"requested resolution {resolution_hz} Hz inconsistent with "
             f"{segment_seconds} s segments"
         )
-    n_seg = samples.size // n_per
-    if n_seg < 2:
-        raise GridError("series shorter than 2 segments")
-    fs = 1.0 / dt
-    chunks = samples[: n_seg * n_per].reshape(n_seg, n_per)
-    spec = np.fft.fft(chunks, axis=1)
-    psd = (spec * np.conj(spec)).real / (fs * n_per)
-    psd = psd.mean(axis=0)
-    freq = np.fft.fftfreq(n_per, d=dt)
-    if np.iscomplexobj(samples):
-        freq, psd = np.fft.fftshift(freq), np.fft.fftshift(psd)
-    else:
-        half = n_per // 2 + 1
-        freq, psd = freq[:half].copy(), psd[:half].copy()
-        if n_per % 2 == 0:
-            freq[-1] = -freq[-1]
-            psd[1:-1] *= 2
-        else:
-            psd[1:] *= 2
-    return SpectrumData(
-        freq_hz=freq,
-        psd=np.clip(psd, 0.0, None),
-        n_avg=n_seg,
-        meta={"segment_seconds": segment_seconds},
-    )
+    spec = welch_psd(samples, n_per, overlap_fraction=0.0, window="boxcar", dt=dt)
+    return replace(spec, meta={"segment_seconds": segment_seconds})
 
 
 def _truth_meta(rates: DerivedRates, n_bar: float, detection: DetectionConfig, cal: float):

@@ -64,3 +64,23 @@ def sample_stable_rates(rng, max_tries: int = 200):
         if rates.gamma_eff > 10 * params.gamma_m and abs(rates.s) < 0.9:
             return params, pump, rates
     raise RuntimeError("could not sample a stable configuration")
+
+
+def folded_periodogram(samples, segment_length: int, step: int, taper, dt: float):
+    """Reference averaged periodogram from two-sided np.fft.fft segments.
+
+    Complex input: all bins, fftshifted.  Real input: each positive bin k
+    gets its mirror bin -k added by hand; DC and (even lengths) Nyquist are
+    kept once.  Returns (freq_hz, psd).
+    """
+    n = segment_length
+    starts = range(0, samples.size - n + 1, step)
+    power = np.mean([np.abs(np.fft.fft(samples[k : k + n] * taper)) ** 2 for k in starts], axis=0)
+    power *= dt / np.sum(taper**2)
+    freq = np.fft.fftfreq(n, d=dt)
+    if np.iscomplexobj(samples):
+        return np.fft.fftshift(freq), np.fft.fftshift(power)
+    one_sided = power[: n // 2 + 1].copy()
+    n_mirrored = (n - 1) // 2
+    one_sided[1 : n_mirrored + 1] += power[:0:-1][:n_mirrored]  # power[n - k], k = 1..
+    return np.abs(freq[: n // 2 + 1]), one_sided

@@ -22,6 +22,7 @@ from sqzband.core import (
 from sqzband.errors import (
     AntiDampingError,
     ParametricInstabilityError,
+    SelfConsistencyError,
     ZeroPumpError,
 )
 
@@ -322,6 +323,18 @@ class TestDeriveAll:
         pump = PumpConfig(cfg.pump.alpha_in_minus, cfg.pump.alpha_in_minus * 0.95)
         with pytest.raises((ParametricInstabilityError, AntiDampingError)):
             derive_all(cfg.params, pump)
+
+    def test_spring_shift_past_zero_frequency_is_typed(self):
+        # strong red-detuned drive: the spring-shift iteration walks the
+        # resonance down through zero (a bare ValueError from
+        # intracavity_amplitudes before it became a typed stability error)
+        params = SystemParams(
+            kappa=1375747.34, kappa_in=937491.28, g0=303.91, omega_m0=684403.91,
+            gamma_m=0.97, delta=-448588.08, n_th=7336.1,
+        )
+        pump = PumpConfig(-2040004.57 + 95976.25j, -167362.95 - 310188.59j)
+        with pytest.raises(SelfConsistencyError):
+            derive_all(params, pump)
 
     def test_single_tone_gives_zero_s(self, paper_run_config):
         pump = PumpConfig(paper_run_config.pump.alpha_in_minus, 0.0)

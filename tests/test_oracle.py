@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
+from scipy.signal import get_window
 
-from conftest import TWO_PI, sample_stable_rates
+from conftest import TWO_PI, folded_periodogram, sample_stable_rates
 from sqzband.core import DerivedRates
 from sqzband.errors import GridError, ParametricInstabilityError
 from sqzband.lineshape import antistokes_spectrum, quadrature_spectrum, stokes_spectrum
@@ -39,6 +41,27 @@ class TestTransferMatrix:
         m, inv = tm.matrix(grid), tm.inverse(grid)
         prod = np.einsum("nij,njk->nik", m, inv)
         assert np.allclose(prod, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_inverse_near_instability(self, sign):
+        tm = TransferMatrix(100.0, 99.9, 0.4)  # s = 0.999
+        grid = sign * np.linspace(-300, 300, 601)  # passes through 0
+        m, inv = tm.matrix(grid), tm.inverse(grid)
+        err = np.abs(np.einsum("nij,njk->nik", m, inv) - np.eye(2)).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * tm.condition_numbers(grid))
+
+    @pytest.mark.parametrize("gamma_par", [100.0, -100.0])
+    def test_singular_inverse_raises(self, gamma_par):
+        # |s| = 1 at zero offset; with phi = 0 the determinant is exactly 0
+        # (at other phases e^{i phi} e^{-i phi} need not round to 1)
+        tm = TransferMatrix(100.0, gamma_par, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            tm.inverse(np.array([-1.0, 0.0, 1.0]))
+
+    def test_non_finite_determinant_raises(self):
+        tm = TransferMatrix(100.0, 55.0, 0.4)
+        with pytest.raises(np.linalg.LinAlgError):
+            tm.inverse(np.array([0.0, 1e200]))  # determinant overflows
 
 
 class TestNoiseCorrelators:
@@ -173,6 +196,16 @@ class TestSdeSimulate:
         assert y.var() == pytest.approx(sigma0_sq / 1.5, rel=0.15)
         assert x.var() == pytest.approx(sigma0_sq / 0.5, rel=0.15)
 
+    def test_envelope_peak_memory(self):
+        rates = self.make_rates(0.5)
+        tracemalloc.start()
+        try:
+            trace = sde_simulate(rates, 1.0, duration=2.0, dt=1e-5, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * trace.samples.nbytes
+
     def test_preconditions(self):
         rates = self.make_rates(0.5)
         with pytest.raises(ValueError):
@@ -227,6 +260,19 @@ class TestWelchPsd:
         assert spec.freq_hz[0] < 0 < spec.freq_hz[-1]
         peak_freq = spec.freq_hz[np.argmax(spec.psd)]
         assert peak_freq == pytest.approx(100.0, abs=spec.resolution_hz)
+
+    @pytest.mark.parametrize("segment_length", [256, 255])
+    def test_matches_folded_fft_reference(self, segment_length):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(9 * segment_length + 17)
+        taper = get_window("hann", segment_length, fftbins=True)
+        for samples in (x, x + 1j * rng.standard_normal(x.size)):
+            spec = welch_psd(samples, segment_length, dt=1e-3)
+            step = round(segment_length * 0.5)  # the default half overlap
+            freq, psd = folded_periodogram(samples, segment_length, step, taper, 1e-3)
+            assert spec.n_avg == 17
+            np.testing.assert_array_equal(spec.freq_hz, freq)
+            np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0)
 
     def test_segment_count_errors(self):
         x = np.zeros(100)

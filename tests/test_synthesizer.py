@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from conftest import TWO_PI
+from conftest import TWO_PI, folded_periodogram
 from sqzband.core import DerivedRates, PumpConfig, derive_all
 from sqzband.errors import GridError
 from sqzband.lineshape import Lorentzian, SpectrumModel, antistokes_spectrum, stokes_spectrum
@@ -214,6 +214,19 @@ class TestSegmentAverage:
             segment_average(np.zeros(4096), segment_seconds=1.0, resolution_hz=0.5, dt=1 / 1024)
         with pytest.raises(GridError):
             segment_average(np.zeros(4096), segment_seconds=0.3333, dt=1 / 1024)
+
+    @pytest.mark.parametrize("n_per", [512, 511])
+    def test_matches_folded_fft_reference(self, n_per):
+        dt = 1 / 1024
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(6 * n_per + 100)
+        for samples in (x, x + 1j * rng.standard_normal(x.size)):
+            spec = segment_average(samples, segment_seconds=n_per * dt, dt=dt)
+            freq, psd = folded_periodogram(samples, n_per, n_per, np.ones(n_per), dt)
+            assert spec.n_avg == 6
+            assert spec.meta == {"segment_seconds": n_per * dt}
+            np.testing.assert_array_equal(spec.freq_hz, freq)
+            np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0)
 
     def test_matches_gamma_noise_statistics(self):
         # averaged periodogram of white noise scatters per the Gamma law
