@@ -291,7 +291,8 @@ def cmd_synth(args) -> int:
         path = out / f"{name}.csv"
         spectrum.to_csv(path)
         manifest.record(path)
-    print(f"wrote drive_on/drive_off spectra ({pair.drive_on.n_bins} bins)")
+    fitted = np.count_nonzero(pair.drive_on.included())
+    print(f"wrote drive_on/drive_off spectra ({fitted} fitted bins, the two sideband bands)")
     _snapshot_ini(cfg, out, manifest)
     manifest.write(out / "manifest.json")
     return 0

@@ -6,6 +6,11 @@ comment header lines with a small JSON metadata blob (n_avg, seed, truth
 parameters), then ``freq_hz,psd,mask`` rows with shortest-repr floats and a
 0/1 mask.  The reader parses the data block in one numpy call; '#' and
 blank lines may appear anywhere.
+
+The grid is a lattice: ascending, each step a whole positive multiple of the
+first step (within a relative 1e-9).  A full uniform grid with masked bins
+and the same grid with those bins left out are both valid; synthetic
+spectra store the fitted bands only.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ _ROW = np.dtype([("freq_hz", float), ("psd", float), ("mask", np.int64)])
 
 @dataclass(frozen=True, eq=False)
 class SpectrumData:
-    """Averaged periodogram on a uniform ascending frequency grid (Hz)."""
+    """Averaged periodogram on an ascending lattice frequency grid (Hz).
+
+    Every step is a whole positive multiple of the first one, which is
+    `resolution_hz`: a uniform grid, or a uniform grid with gaps (bins no
+    fit reads, left out instead of masked).
+    """
 
     freq_hz: np.ndarray
     psd: np.ndarray
@@ -46,10 +56,10 @@ class SpectrumData:
             if not np.isfinite(values).all():
                 bad = np.flatnonzero(~np.isfinite(values))
                 raise GridError(f"{name} has {bad.size} non-finite bins (first at index {bad[0]})")
-        steps = np.diff(freq)
-        step = freq[1] - freq[0]
-        if step <= 0 or np.any(np.abs(steps - step) > _GRID_RTOL * abs(step)):
-            raise GridError("frequency grid must be uniform and ascending")
+        if not _on_lattice(freq):
+            raise GridError(
+                "frequency grid must be ascending, each step a whole multiple of the first"
+            )
         if np.any(psd < 0):
             raise ValueError("psd must be nonnegative")
         if self.n_avg < 1:
@@ -103,6 +113,18 @@ class SpectrumData:
             return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask, meta=meta)
         except (GridError, ValueError) as exc:
             raise GridError(f"{path}: {exc}") from None
+
+
+def _on_lattice(freq: np.ndarray) -> bool:
+    """Each step a whole positive multiple m of the first, within _GRID_RTOL * m steps."""
+    with np.errstate(all="ignore"):  # a zero first step or steps past float range fail below
+        steps = np.diff(freq)
+        step = steps[0]
+        multiple = np.rint(steps / step)
+        off = np.abs(steps - multiple * step)
+        tol = _GRID_RTOL * multiple * step
+    whole = np.isfinite(multiple) & (multiple >= 1)
+    return bool(step > 0 and np.all(whole) and np.all(off <= tol))
 
 
 def _is_data(line: str) -> bool:

@@ -2,11 +2,15 @@
 
 Two routes:
 
-* Model + estimator noise: the composite two-sideband model is sampled on a
-  0.2 Hz-class grid and each bin multiplied by an independent
-  Gamma(n_avg)/n_avg variate -- the exact distribution of an n_avg-segment
-  averaged periodogram of a Gaussian process (rectangular windows, no
-  overlap).  This is the route that carries the quantum sideband asymmetry.
+* Model + estimator noise: the composite two-sideband model is sampled on
+  the bins of a 0.2 Hz-class grid that lie inside the fitted band around
+  each sideband, and each bin multiplied by an independent Gamma(n_avg)/n_avg
+  variate -- the exact distribution of an n_avg-segment averaged
+  periodogram of a Gaussian process (rectangular windows, no overlap).
+  Bins outside the bands are not synthesized: no fit reads them.  The
+  variates are still drawn for the whole grid and the band bins picked out,
+  so each fitted bin gets the value it had when every bin was stored.
+  This is the route that carries the quantum sideband asymmetry.
 
 * Time-domain analog: a classical envelope trajectory is modulated onto a
   synthetic heterodyne carrier with both sidebands, white measurement noise
@@ -40,8 +44,8 @@ class DetectionConfig:
     `calibration` maps model PSD to detector units; when None it is chosen
     so the drive-off Stokes peak sits `snr` times above the floor.
     `band_halfwidth_hz` sets the fitted window around each sideband center;
-    bins outside are masked (excluded from fits), emulating the restricted
-    fit regions of the analysis.
+    synthetic spectra hold only the grid bins inside the two windows,
+    emulating the restricted fit regions of the analysis.
     """
 
     delta_lo_hz: float = 11e3
@@ -71,7 +75,9 @@ class DetectionConfig:
 
 
 def synthetic_grid_hz(center_hz: float, detection: DetectionConfig) -> np.ndarray:
-    """Uniform grid spanning both sidebands plus the fitted bands."""
+    """Uniform grid spanning both sidebands plus the fitted bands.
+
+    The noise variates are drawn on this grid; spectra keep its band bins."""
     half = detection.delta_lo_hz + detection.band_halfwidth_hz + detection.resolution_hz
     n = int(round(half / detection.resolution_hz))
     offsets = np.arange(-n, n + 1) * detection.resolution_hz
@@ -91,7 +97,7 @@ def synth_periodogram(
     freq_hz: np.ndarray,
     n_avg: int,
     seed: int,
-    mask: np.ndarray | None = None,
+    drawn: np.ndarray | None = None,
     meta: dict | None = None,
 ) -> SpectrumData:
     """Noisy averaged periodogram: bin ~ mean_psd * Gamma(n_avg, 1/n_avg).
@@ -99,7 +105,10 @@ def synth_periodogram(
     `mean_psd` is the model sampled on `freq_hz` (e.g. the PSD that
     heterodyne_composite returns).  Per-bin mean equals the model, relative
     standard deviation 1/sqrt(n_avg); bins are independent.  Deterministic
-    per seed.
+    per seed.  `drawn`, a boolean selector over a larger grid, draws one
+    variate per entry of that grid and gives the i-th bin the variate of
+    the i-th selected entry, so a bin's value does not depend on which
+    other bins are kept.
     """
     if n_avg < 1:
         raise ValueError("n_avg must be >= 1")
@@ -108,9 +117,15 @@ def synth_periodogram(
     if np.any(truth < 0):
         raise ValueError("model PSD must be nonnegative on the grid")
     rng = np.random.default_rng(seed)
-    noisy = truth * rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=truth.shape)
+    if drawn is None:
+        variates = rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=truth.shape)
+    else:
+        drawn = np.asarray(drawn, dtype=bool)
+        if drawn.ndim != 1 or np.count_nonzero(drawn) != truth.size:
+            raise GridError("drawn must select exactly one entry per bin")
+        variates = rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=drawn.size)[drawn]
     info = {"seed": seed} if meta is None else {"seed": seed, **meta}
-    return SpectrumData(freq_hz=freq_hz, psd=noisy, n_avg=n_avg, mask=mask, meta=info)
+    return SpectrumData(freq_hz=freq_hz, psd=truth * variates, n_avg=n_avg, meta=info)
 
 
 def synth_timeseries(
@@ -233,13 +248,17 @@ def synth_onoff_from_rates(
     params: SystemParams | None = None,
     n_avg: int | None = None,
 ) -> OnOffPair:
-    """Drive-on / drive-off synthetic pair from explicit rate sets."""
+    """Drive-on / drive-off synthetic pair from explicit rate sets.
+
+    Both spectra hold the bins of `synthetic_grid_hz` inside the two fitted
+    bands only (a gapped grid, nothing masked)."""
     n_avg = detection.n_avg if n_avg is None else n_avg
     cal = detection.resolve_calibration(rates_off, n_bar)
     center_hz = rates_on.omega_m / TWO_PI
-    freq = synthetic_grid_hz(center_hz, detection)
+    full = synthetic_grid_hz(center_hz, detection)
     centers = (center_hz + detection.delta_lo_hz, center_hz - detection.delta_lo_hz)
-    mask = band_mask(freq, centers, detection.band_halfwidth_hz)
+    in_band = ~band_mask(full, centers, detection.band_halfwidth_hz)
+    freq = full[in_band]
     grid = TWO_PI * freq
 
     spectra = {}
@@ -252,7 +271,7 @@ def synth_onoff_from_rates(
             freq,
             n_avg,
             seed=task_seed(seed, idx),
-            mask=mask,
+            drawn=in_band,
             meta={"drive": label, **_truth_meta(rates, n_bar, detection, cal)},
         )
     return OnOffPair(

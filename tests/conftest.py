@@ -84,3 +84,37 @@ def folded_periodogram(samples, segment_length: int, step: int, taper, dt: float
     n_mirrored = (n - 1) // 2
     one_sided[1 : n_mirrored + 1] += power[:0:-1][:n_mirrored]  # power[n - k], k = 1..
     return np.abs(freq[: n // 2 + 1]), one_sided
+
+
+def full_grid_pair(truth, seed: int):
+    """Reference drive-on/off pair on the whole synthetic grid, out-of-band
+    bins masked: the model and the Gamma(n_avg) draw taken on every bin.
+
+    Built from the public pieces, independently of synth_onoff_from_rates,
+    which stores the fitted bands only."""
+    from sqzband.data import OnOffPair, SpectrumData
+    from sqzband.lineshape import heterodyne_composite
+    from sqzband.seeding import task_seed
+    from sqzband.synthesizer import band_mask, synthetic_grid_hz
+
+    det = truth.detection
+    rates_on, rates_off = truth.rates_pair()
+    cal = det.resolve_calibration(rates_off, truth.n_bar)
+    center_hz = rates_on.omega_m / TWO_PI
+    freq = synthetic_grid_hz(center_hz, det)
+    centers = (center_hz + det.delta_lo_hz, center_hz - det.delta_lo_hz)
+    mask = band_mask(freq, centers, det.band_halfwidth_hz)
+    spectra = []
+    for idx, rates in enumerate((rates_on, rates_off)):
+        _, mean_psd = heterodyne_composite(
+            rates, truth.n_bar, det.delta_lo, cal, det.floor, TWO_PI * freq
+        )
+        rng = np.random.default_rng(task_seed(seed, idx))
+        psd = mean_psd * rng.gamma(shape=det.n_avg, scale=1.0 / det.n_avg, size=freq.size)
+        spectra.append(SpectrumData(freq_hz=freq, psd=psd, n_avg=det.n_avg, mask=mask))
+    return OnOffPair(
+        drive_on=spectra[0],
+        drive_off=spectra[1],
+        shared_params=None,
+        gamma_eff_off=rates_off.gamma_eff,
+    )

@@ -211,6 +211,17 @@ class TestSynthFitFlow:
         off_fit = json.loads((fit_out / "fit_off.json").read_text())
         assert abs(off_fit["params"]["gamma_eff_hz"] - 100.0) < 10.0
 
+    def test_synth_writes_fitted_bands_only(self, tmp_path, paper_config_path, capsys):
+        out = tmp_path / "synth"
+        args = ["synth", "--config", str(paper_config_path), "--out-dir", str(out), "--seed", "11"]
+        assert cli.main(args) == 0
+        assert "6002 fitted bins" in capsys.readouterr().out
+        for name in ("drive_on.csv", "drive_off.csv"):
+            lines = (out / name).read_text().splitlines()
+            rows = [line for line in lines if line[0].isdigit()]
+            assert len(rows) == 6002 == len(lines) - 3
+            assert all(row.endswith(",0") for row in rows)
+
     def test_fit_rejects_non_finite_csv(self, tmp_path, capsys):
         freq = 529000.0 + 0.2 * np.arange(32)
         psd = np.ones(32)

@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import PAPER_CONFIG, full_grid_pair
+from sqzband import cli
+from sqzband.config import load_config
 from sqzband.data import OnOffPair, SpectrumData
 from sqzband.errors import GridError
 
@@ -55,6 +58,56 @@ class TestSpectrumData:
     def test_descending_grid_rejected(self):
         with pytest.raises(GridError):
             SpectrumData(freq_hz=np.array([3.0, 2.0, 1.0]), psd=np.ones(3), n_avg=1)
+
+    def test_gapped_lattice_grid_round_trips(self, tmp_path):
+        steps = np.concatenate([np.arange(10), np.arange(50, 60), np.arange(107_000, 107_003)])
+        data = SpectrumData(
+            freq_hz=518799.8 + 0.2 * steps,
+            psd=np.random.default_rng(2).gamma(5.0, size=steps.size),
+            n_avg=10,
+            meta={"seed": 4},
+        )
+        assert data.resolution_hz == data.freq_hz[1] - data.freq_hz[0]
+        path = tmp_path / "gapped.csv"
+        data.to_csv(path)
+        loaded = SpectrumData.from_csv(path)
+        assert loaded.freq_hz.tobytes() == data.freq_hz.tobytes()
+        assert loaded.psd.tobytes() == data.psd.tobytes()
+        assert not loaded.mask.any() and loaded.meta == {"seed": 4}
+
+    def test_gap_off_the_lattice_rejected(self):
+        with pytest.raises(GridError, match="multiple"):
+            SpectrumData(freq_hz=np.array([0, 0.2, 0.4, 0.7, 0.9]), psd=np.ones(5), n_avg=1)
+
+    @pytest.mark.parametrize(
+        "freq",
+        [[0.0, 5e-324, 1e308], [-1.5e308, 1.5e308, 1.6e308], [1.0, 1.0, 2.0], [0.0, 1.0, 0.0]],
+    )
+    def test_degenerate_steps_rejected(self, freq):
+        # a zero first step, or steps and step ratios past float range, are
+        # no lattice and raise no floating-point warning
+        with pytest.raises(GridError, match="multiple"):
+            SpectrumData(freq_hz=np.array(freq), psd=np.ones(len(freq)), n_avg=1)
+
+    def test_fit_on_band_files_equals_full_masked_files(self, tmp_path):
+        seed = 7
+        band, full = tmp_path / "band", tmp_path / "full"
+        synth = ["synth", "--config", str(PAPER_CONFIG), "--seed", str(seed)]
+        assert cli.main(synth + ["--out-dir", str(band)]) == 0
+        truth = cli._truth_from_config(load_config(PAPER_CONFIG))
+        reference = full_grid_pair(truth, seed)
+        full.mkdir()
+        reference.drive_on.to_csv(full / "drive_on.csv")
+        reference.drive_off.to_csv(full / "drive_off.csv")
+        fits = {}
+        for name, directory in (("band", band), ("full", full)):
+            out = tmp_path / f"fit-{name}"
+            args = ["fit", "--off", str(directory / "drive_off.csv"),
+                    "--on", str(directory / "drive_on.csv"), "--out-dir", str(out)]
+            assert cli.main(args) == 0
+            fits[name] = [(out / f).read_bytes() for f in ("fit_off.json", "fit_on.json")]
+        assert SpectrumData.from_csv(band / "drive_on.csv").n_bins == 6002
+        assert fits["band"] == fits["full"]
 
     def test_negative_psd_rejected(self):
         with pytest.raises(ValueError):

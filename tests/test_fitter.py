@@ -366,6 +366,22 @@ class TestMasking:
         # area information from the peak core is gone; the local-model error grows
         assert result.sigmas["area_2"] > 1.15 * clean.sigmas["area_2"]
 
+    def test_peak_region_cut_from_grid_flagged(self):
+        # bins left out of a gapped grid count as masked ones
+        truth = truth_for(0.0)
+        (off_data, _), _, _ = noiseless_pair(truth)
+        stokes_center = CENTER_HZ + 1.1e3
+        heavy = apply_mask(off_data, [(stokes_center - 45.0, stokes_center + 45.0)])
+        keep = heavy.included()
+        cut = SpectrumData(
+            freq_hz=off_data.freq_hz[keep], psd=off_data.psd[keep], n_avg=off_data.n_avg
+        )
+        assert cut.n_bins == np.count_nonzero(keep) < off_data.n_bins
+        result, masked = fit_single_pair(cut), fit_single_pair(heavy)
+        assert result.flags == masked.flags == ("peak_region_masked",)
+        assert result.params == masked.params
+        assert fit_single_pair(off_data).flags == ()
+
 
 class TestBiasStudy:
     def test_quick_study_moments_and_determinism(self):

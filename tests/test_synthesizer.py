@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from conftest import TWO_PI, folded_periodogram
+from conftest import TWO_PI, folded_periodogram, full_grid_pair
+from sqzband.cli import _truth_from_config
 from sqzband.core import DerivedRates, PumpConfig, derive_all
 from sqzband.errors import GridError
+from sqzband.fitter import fit_pair_two_stage
 from sqzband.lineshape import Lorentzian, SpectrumModel, antistokes_spectrum, stokes_spectrum
 from sqzband.oracle import welch_psd
 from sqzband.synthesizer import (
@@ -259,6 +261,36 @@ class TestOnOffPair:
         assert np.array_equal(pair.drive_on.mask, expected_mask)
         assert pair.drive_on.meta["truth"]["s"] == 0.5
         assert pair.drive_off.meta["truth"]["s"] == 0.0
+
+    @pytest.mark.parametrize("seed", [3, 29, 4242])
+    @pytest.mark.parametrize("which", ["experiment", "bias"])
+    def test_band_bins_equal_full_grid_draw(self, paper_run_config, which, seed):
+        # the stored bands are the full-grid synthesis restricted to them,
+        # bit for bit, and fit exactly as the full masked pair does
+        truth = _truth_from_config(paper_run_config, bias=which == "bias")
+        rates_on, rates_off = truth.rates_pair()
+        pair = synth_onoff_from_rates(
+            rates_on, rates_off, truth.n_bar, truth.detection, seed=seed
+        )
+        full = full_grid_pair(truth, seed)
+        for got, ref in ((pair.drive_on, full.drive_on), (pair.drive_off, full.drive_off)):
+            keep = ref.included()
+            assert got.n_bins == np.count_nonzero(keep) < ref.n_bins
+            assert not got.mask.any()
+            assert got.freq_hz.tobytes() == ref.freq_hz[keep].tobytes()
+            assert got.psd.tobytes() == ref.psd[keep].tobytes()
+        got_fits = [r.to_dict() for r in fit_pair_two_stage(pair)]
+        ref_fits = [r.to_dict() for r in fit_pair_two_stage(full)]
+        assert repr(got_fits) == repr(ref_fits)
+
+    def test_drawn_selects_one_variate_per_bin(self):
+        freq = 100.0 + 0.5 * np.arange(6)
+        drawn = np.array([0, 1, 1, 0, 1, 0], dtype=bool)
+        whole = synth_periodogram(np.full(6, 2.0), freq, n_avg=4, seed=9)
+        part = synth_periodogram(np.full(3, 2.0), freq[drawn], n_avg=4, seed=9, drawn=drawn)
+        assert np.array_equal(part.psd, whole.psd[drawn])
+        with pytest.raises(GridError):
+            synth_periodogram(np.full(2, 2.0), freq[:2], n_avg=4, seed=9, drawn=drawn)
 
     def test_physical_level_pair(self, paper_run_config):
         cfg = paper_run_config
