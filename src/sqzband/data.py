@@ -84,6 +84,15 @@ class SpectrumData:
         """Boolean selector of bins that participate in fits."""
         return ~self.mask
 
+    def missing_bins(self, lo_hz: float, hi_hz: float) -> int:
+        """Lattice points in [lo_hz, hi_hz] that fall in the grid's gaps."""
+        freq, res = self.freq_hz, self.resolution_hz
+        multiple = _step_multiples(np.diff(freq))
+        i = np.flatnonzero(multiple > 1)
+        k_lo = np.maximum(np.ceil((lo_hz - freq[i]) / res), 1)
+        k_hi = np.minimum(np.floor((hi_hz - freq[i]) / res), multiple[i] - 1)
+        return int(np.clip(k_hi - k_lo + 1, 0, None).sum())
+
     def with_mask(self, mask: np.ndarray) -> "SpectrumData":
         return SpectrumData(
             freq_hz=self.freq_hz,
@@ -115,12 +124,16 @@ class SpectrumData:
             raise GridError(f"{path}: {exc}") from None
 
 
+def _step_multiples(steps: np.ndarray) -> np.ndarray:
+    """Each grid step over the first one, rounded to a whole number."""
+    return np.rint(steps / steps[0])
+
+
 def _on_lattice(freq: np.ndarray) -> bool:
     """Each step a whole positive multiple m of the first, within _GRID_RTOL * m steps."""
     with np.errstate(all="ignore"):  # a zero first step or steps past float range fail below
         steps = np.diff(freq)
-        step = steps[0]
-        multiple = np.rint(steps / step)
+        step, multiple = steps[0], _step_multiples(steps)
         off = np.abs(steps - multiple * step)
         tol = _GRID_RTOL * multiple * step
     whole = np.isfinite(multiple) & (multiple >= 1)

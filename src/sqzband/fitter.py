@@ -356,23 +356,13 @@ def _ratio(stokes: float, anti: float, correction: float) -> float:
     return (stokes / anti) * correction if anti != 0 else math.inf
 
 
-def _gap_bins(data: SpectrumData, lo_hz: float, hi_hz: float) -> int:
-    """Lattice points in [lo_hz, hi_hz] that fall in the grid's gaps."""
-    freq, res = data.freq_hz, data.resolution_hz
-    steps = np.diff(freq)
-    i = np.flatnonzero(steps > 1.5 * res)
-    k_lo = np.maximum(np.ceil((lo_hz - freq[i]) / res), 1)
-    k_hi = np.minimum(np.floor((hi_hz - freq[i]) / res), np.rint(steps[i] / res) - 1)
-    return int(np.clip(k_hi - k_lo + 1, 0, None).sum())
-
-
 def _coverage_flags(data: SpectrumData, centers_hz, width_hz) -> tuple[str, ...]:
     """Flag peaks whose fit region is mostly masked out (error inflation).
 
     Lattice points missing from a gapped grid count as masked bins."""
     for c in centers_hz:
         window = np.abs(data.freq_hz - c) <= width_hz / 2
-        missing = _gap_bins(data, c - width_hz / 2, c + width_hz / 2)
+        missing = data.missing_bins(c - width_hz / 2, c + width_hz / 2)
         n = window.sum() + missing
         if n and (data.mask[window].sum() + missing) / n > 0.8:
             return ("peak_region_masked",)

@@ -303,13 +303,8 @@ def sde_simulate(
 
 
 def quadrature_series(trace: EnvelopeTrace, theta: float) -> np.ndarray:
-    """Real quadrature X_theta(t) = Re(e^{i theta} beta(t)) of a trace.
-
-    cos(theta) Re(beta) - sin(theta) Im(beta) as one matrix-vector product
-    over the (re, im) pairs: a contiguous float result and no temporary."""
-    rot = np.exp(1j * theta)
-    pairs = np.ascontiguousarray(trace.samples, dtype=complex).view(float).reshape(-1, 2)
-    return pairs @ np.array([rot.real, -rot.imag])
+    """Real quadrature X_theta(t) = Re(e^{i theta} beta(t)) of a trace."""
+    return (np.exp(1j * theta) * trace.samples).real
 
 
 def welch_psd(

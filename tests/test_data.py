@@ -75,6 +75,17 @@ class TestSpectrumData:
         assert loaded.psd.tobytes() == data.psd.tobytes()
         assert not loaded.mask.any() and loaded.meta == {"seed": 4}
 
+    def test_missing_bins_counts_lattice_points_in_gaps(self):
+        # lattice indices 0-3, 7-8, 12: gaps hold 4-6 and 9-11
+        steps = np.array([0, 1, 2, 3, 7, 8, 12])
+        data = SpectrumData(freq_hz=0.5 * steps, psd=np.ones(steps.size), n_avg=1)
+        assert data.missing_bins(0.0, 6.0) == 6
+        assert data.missing_bins(2.0, 4.0) == 3  # 2.0, 2.5, 3.0 (indices 4-6)
+        assert data.missing_bins(2.6, 4.9) == 2  # 3.0, 4.5
+        assert data.missing_bins(3.6, 3.9) == 0
+        full = SpectrumData(freq_hz=0.5 * np.arange(13), psd=np.ones(13), n_avg=1)
+        assert full.missing_bins(0.0, 6.0) == 0
+
     def test_gap_off_the_lattice_rejected(self):
         with pytest.raises(GridError, match="multiple"):
             SpectrumData(freq_hz=np.array([0, 0.2, 0.4, 0.7, 0.9]), psd=np.ones(5), n_avg=1)

@@ -196,22 +196,6 @@ class TestSdeSimulate:
         assert y.var() == pytest.approx(sigma0_sq / 1.5, rel=0.15)
         assert x.var() == pytest.approx(sigma0_sq / 0.5, rel=0.15)
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -math.pi / 3, math.pi / 2, 2.5])
-    def test_quadrature_series_is_contiguous_real(self, theta):
-        rates = self.make_rates(0.5)
-        trace = sde_simulate(rates, 1.0, duration=1.0, dt=1e-4, seed=17)
-        tracemalloc.start()
-        try:
-            got = quadrature_series(trace, theta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * got.nbytes
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert not np.shares_memory(got, trace.samples)
-        reference = (np.exp(1j * theta) * trace.samples).real
-        assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(trace.samples))
-
     def test_envelope_peak_memory(self):
         rates = self.make_rates(0.5)
         tracemalloc.start()
