@@ -8,9 +8,10 @@ parameters), then ``freq_hz,psd,mask`` rows with shortest-repr floats and a
 blank lines may appear anywhere.
 
 The grid is a lattice: ascending, each step a whole positive multiple of the
-first step (within a relative 1e-9).  A full uniform grid with masked bins
-and the same grid with those bins left out are both valid; synthetic
-spectra store the fitted bands only.
+first step (within a relative 1e-9 plus the float rounding of the
+frequencies).  A full uniform grid with masked bins and the same grid with
+those bins left out are both valid; synthetic spectra store the fitted bands
+only.
 """
 
 from __future__ import annotations
@@ -130,12 +131,14 @@ def _step_multiples(steps: np.ndarray) -> np.ndarray:
 
 
 def _on_lattice(freq: np.ndarray) -> bool:
-    """Each step a whole positive multiple m of the first, within _GRID_RTOL * m steps."""
+    """Each step a whole positive multiple m of the first, within m (_GRID_RTOL
+    steps + 2 ulp of the largest |f|): the first step is known only to an ulp
+    of the frequencies, which above 2^20 Hz exceeds 1e-9 of a 0.2 Hz step."""
     with np.errstate(all="ignore"):  # a zero first step or steps past float range fail below
         steps = np.diff(freq)
         step, multiple = steps[0], _step_multiples(steps)
         off = np.abs(steps - multiple * step)
-        tol = _GRID_RTOL * multiple * step
+        tol = multiple * (_GRID_RTOL * step + 2 * np.spacing(np.abs(freq).max()))
     whole = np.isfinite(multiple) & (multiple >= 1)
     return bool(step > 0 and np.all(whole) and np.all(off <= tol))
 

@@ -8,11 +8,12 @@ Gamma_eff frozen at the off-fit value and s the only extra shape parameter
 sigma_bin = PSD_model / sqrt(n_avg), refreshed from the current model.
 
 Both models are linear in the floor and the areas, so the fits are separable
-(variable projection; Golub & Pereyra, Inverse Problems 19 (2003) R1): LM
-runs over the two centres and the width (drive off) or q (drive on), the
-floor and areas are solved by weighted linear least squares at each step,
-and the Jacobian is Kaufman's (BIT 15 (1975) 49).  The full Jacobian is
-built once, at the solution, for the reported uncertainties.
+(variable projection; Golub & Pereyra, Inverse Problems 19 (2003) R1): Moré's
+Levenberg-Marquardt (`lm`: MINPACK lmder on the 3 x 3 normal equations) runs
+over the two centres and the width (drive off) or q (drive on), each pass
+from the last one's theta; the floor and areas are solved by weighted linear
+least squares at each step, and the Jacobian is Kaufman's (BIT 15 (1975) 49).
+The full Jacobian is built once, at the solution, for the uncertainties.
 
 s enters the optimizer through a logistic transform onto (0, 0.999): the
 spectra depend only on |s| and the transform keeps the fit smooth at the
@@ -24,17 +25,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import expit, logit
 
 from .core import TWO_PI, DerivedRates
 from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios
+from .lm import levenberg_marquardt
 from .seeding import task_seed
 from .synthesizer import DetectionConfig, synth_onoff_from_rates
 
@@ -43,21 +44,23 @@ _GTOL = 1e-10
 # cost plateaus long before 1e-12 when s is pinned at its lower bound; 1e-9
 # stops the boundary walk ~3x earlier at < 2e-4 shift in the estimates
 _FTOL = 1e-9
+_XTOL = 1e-12
 _MAX_NFEV = 500
 _WEIGHT_REFRESH = 1
-_LM_OPTIONS = dict(
-    method="lm", gtol=_GTOL, xtol=1e-12, ftol=_FTOL, max_nfev=_MAX_NFEV, x_scale="jac"
-)
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Fitted parameters (Hz at the data boundary), uncertainties, ratios.
 
-    ``n_iter`` counts the evaluations of the reduced (projected) problem in
-    the last reweighting pass.  ``sigmas["s"]`` of a drive-on fit is NaN when
-    the ``s_at_lower_bound`` flag is set: the model is even in s, so the
-    linearised uncertainty is undefined at s -> 0.
+    ``converged``: the last reweighting pass stopped on one of MINPACK
+    lmder's tests (relative cost reduction <= 1e-9, step bound <= 1e-12
+    |D theta|, gradient cosines <= 1e-10; see `lm.levenberg_marquardt`)
+    within 500 evaluations, and the fitted parameters, their sigmas and the
+    area ratios are finite.  ``n_iter`` counts the evaluations of the reduced
+    (projected) problem in the last reweighting pass.  ``sigmas["s"]`` of a
+    drive-on fit is NaN when the ``s_at_lower_bound`` flag is set: the model
+    is even in s, so the linearised uncertainty is undefined at s -> 0.
     """
 
     params: dict
@@ -80,11 +83,7 @@ class FitResult:
             "n_bar_inferred": self.n_bar_inferred,
         }
         if self.ratios is not None:
-            out["ratios"] = {
-                "r0": self.ratios.r0,
-                "r_plus": self.ratios.r_plus,
-                "r_minus": self.ratios.r_minus,
-            }
+            out["ratios"] = asdict(self.ratios)
         return out
 
 
@@ -124,21 +123,16 @@ class BiasStudyReport:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "n_failed": self.n_failed,
-            "mean_s": self.mean_s,
-            "std_s": self.std_s,
-            "skewness_s": self.skewness_s,
-            "valid": self.valid,
-            "hist_edges": list(map(float, self.hist_edges)),
-            "hist_counts": list(map(int, self.hist_counts)),
-        }
+        out = {name: value for name, value in vars(self).items() if not name.startswith("hist_")}
+        out["hist_edges"] = list(map(float, self.hist_edges))
+        out["hist_counts"] = list(map(int, self.hist_counts))
+        return out
 
 
-def _lorentz(d2, gamma_hz):
+def _lorentz(d2, gamma_hz, out=None):
     """Unit-area Lorentzian in per-Hz density form, at squared offsets d2."""
-    return (gamma_hz / TWO_PI) / (d2 + gamma_hz * gamma_hz / 4)
+    out = np.add(d2, gamma_hz * gamma_hz / 4, out=out)
+    return np.divide(gamma_hz / TWO_PI, out, out=out)
 
 
 class _Basis(NamedTuple):
@@ -180,15 +174,18 @@ class _TwoPairModel:
 
     As s -> 0 the narrow and broad lines of a pair coincide, so the linear
     solve uses their sum and their difference instead.  The difference is
-    evaluated in closed form, free of cancellation.
+    evaluated in closed form, free of cancellation.  Both sets of lines are
+    written into (centre, 2, n) buffers that the next call overwrites.
     """
 
     names = ("floor", "center_1_hz", "center_2_hz", "q") + tuple(
         f"area_{i}_{width}" for i in (1, 2) for width in ("narrow", "broad")
     )
 
-    def __init__(self, gamma_eff_hz: float):
+    def __init__(self, gamma_eff_hz: float, n_bins: int):
         self.gamma_eff_hz = gamma_eff_hz
+        self._lines = np.empty((2, 2, n_bins))  # narrow, broad
+        self._solve = np.empty((2, 2, n_bins))  # narrow + broad, narrow - broad
 
     def basis(self, f, theta) -> _Basis:
         c1, c2, q = theta
@@ -198,13 +195,16 @@ class _TwoPairModel:
         gn, gb = g * (1 - s), g * (1 + s)
         d = f - np.array([[c1], [c2]])
         d2 = d * d
-        narrow, broad = _lorentz(d2, gn), _lorentz(d2, gb)
+        lines, solve = self._lines, self._solve
+        narrow, broad = _lorentz(d2, gn, lines[:, 0]), _lorentz(d2, gb, lines[:, 1])
+        np.add(narrow, broad, out=solve[:, 0])
         # L_n - L_b = (gn - gb) (d^2 - gn gb / 4) / (2 pi den_n den_b)
-        gap = (-2 * g * s * TWO_PI / (gn * gb)) * (d2 - gn * gb / 4) * narrow * broad
-        lines = np.stack([narrow, broad], axis=1).reshape(4, -1)
-        solve = np.stack([narrow + broad, gap], axis=1).reshape(4, -1)
-        d_widths = np.array([-dg_dq, dg_dq, -dg_dq, dg_dq])
-        return _Basis(d, lines, np.array([gn, gb, gn, gb]), d_widths, solve)
+        gap = np.subtract(d2, gn * gb / 4, out=solve[:, 1])
+        gap *= -2 * g * s * TWO_PI / (gn * gb)
+        gap *= narrow
+        gap *= broad
+        widths, d_widths = np.array([gn, gb, gn, gb]), np.array([-dg_dq, dg_dq, -dg_dq, dg_dq])
+        return _Basis(d, lines.reshape(4, -1), widths, d_widths, solve.reshape(4, -1))
 
     @staticmethod
     def areas(coef):
@@ -216,23 +216,20 @@ class _TwoPairModel:
 class _Projection:
     """Variable projection at fixed weights: LM sees theta alone.  Kaufman's
     Jacobian is the model's theta-derivative at fixed floor and areas,
-    projected off the column space of the weighted basis."""
+    projected off the column space of the weighted basis.  The Jacobian and
+    the solution are taken at the theta of the last residual."""
 
     def __init__(self, model, freq, psd, sigma):
-        self.model, self.freq = model, freq
+        self.model, self.freq, self.sigma = model, freq, sigma
         self.target = psd / sigma
         # rows: the weighted solve columns (the first is the floor's), then target
         self._rows = np.empty((len(model.names) - 2, freq.size))
         self._rows[0] = 1.0 / sigma
         self._rows[-1] = self.target
-        self._key = None
 
     def residual(self, theta) -> np.ndarray:
-        """Weighted residual at theta, floor and areas solved; cached per theta."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.tobytes() == self._key:
-            return self.resid
-        basis = self.model.basis(self.freq, theta)
+        """Weighted residual at theta, floor and areas solved."""
+        self._basis = basis = self.model.basis(self.freq, theta)
         rows = self._rows
         np.multiply(basis.solve, rows[0], out=rows[1:-1])
         phi = rows[:-1]
@@ -250,11 +247,9 @@ class _Projection:
         unit_gram = np.where(keep, gram / scale, np.eye(norm.size))
         self._gram_inv = np.where(keep, np.linalg.inv(unit_gram) / scale, 0.0)
         coef = self._gram_inv @ rhs
-        self._basis = basis
-        self._theta, self._key = theta, theta.tobytes()
+        self.theta = theta
         self.areas = self.model.areas(coef)
-        self.resid = coef @ phi - self.target
-        return self.resid
+        return coef @ phi - self.target
 
     def _theta_jacobian(self) -> np.ndarray:
         """Weighted d(model)/d(theta) at fixed floor and areas, one row per theta.
@@ -270,25 +265,27 @@ class _Projection:
         jac[2] = (shape / b.widths) @ b.lines - (np.pi * shape) @ squares
         return jac * self._rows[0]
 
-    def jacobian(self, theta) -> np.ndarray:
-        self.residual(theta)
+    def jacobian(self) -> np.ndarray:
+        """Kaufman's Jacobian of the residual, one row per theta."""
         jac = self._theta_jacobian()
         phi = self._rows[:-1]
         jac -= ((jac @ phi.T) @ self._gram_inv) @ phi
-        return jac.T
+        return jac
 
     def solution(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Parameters (floor, *theta, *areas) at theta and the weighted
         Jacobian over all of them, in the model's name order."""
-        self.residual(theta)
+        if theta is not self.theta:
+            self.residual(theta)
         lines = self._basis.lines * self._rows[0]
         jac = np.vstack([self._rows[:1], self._theta_jacobian(), lines]).T
-        return np.concatenate([self.areas[:1], self._theta, self.areas[1:]]), jac
+        return np.concatenate([self.areas[:1], theta, self.areas[1:]]), jac
 
 
 def _smooth(y: np.ndarray, width: int = 7) -> np.ndarray:
-    kernel = np.ones(width) / width
-    return np.convolve(y, kernel, mode="same")
+    if y.size < width:
+        raise GridError(f"{y.size} bins to fit, fewer than the {width}-bin smoothing kernel")
+    return np.convolve(y, np.ones(width) / width, mode="same")
 
 
 def _initial_guess(freq, psd):
@@ -314,35 +311,38 @@ def _initial_guess(freq, psd):
 
 
 def _sigma_floor(values: np.ndarray) -> float:
-    top = float(np.max(np.abs(values))) if values.size else 1.0
-    return max(top * 1e-12, 1e-300)
+    return max(float(np.max(np.abs(values))) * 1e-12, 1e-300)
 
 
 def _initial_sigma(psd: np.ndarray, n_avg: int) -> np.ndarray:
     return np.maximum(_smooth(psd), _sigma_floor(psd)) / math.sqrt(n_avg)
 
 
-def _run_weighted_fit(model, theta0, freq, psd, n_avg):
+# the LM loop rejects non-finite trials and a non-finite fit is not converged,
+# so overflow on degenerate spectra is no error
+@np.errstate(all="ignore")
+def _run_weighted_fit(model, theta0, freq, psd, n_avg, proj=None):
     """IRLS loop: LM passes over theta with sigma = model / sqrt(n_avg) refreshed.
 
-    Returns the last pass's result and the parameters and sigmas by name."""
-    sigma = _initial_sigma(psd, n_avg)
-    theta = np.asarray(theta0, dtype=float)
-    for i in range(_WEIGHT_REFRESH + 1):
-        if i:
-            fitted = (proj.residual(theta) + proj.target) * sigma
-            sigma = np.maximum(fitted, _sigma_floor(psd)) / math.sqrt(n_avg)
+    `proj` may carry the first pass's projection, at the initial weights.
+    Returns the last pass's LMResult, the parameters and sigmas by name, and
+    chi^2 per degree of freedom."""
+    proj = proj or _Projection(model, freq, psd, _initial_sigma(psd, n_avg))
+    tols = dict(ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
+    result = levenberg_marquardt(proj, np.asarray(theta0, dtype=float), **tols)
+    for _ in range(_WEIGHT_REFRESH):
+        fitted = (result.resid + proj.target) * proj.sigma
+        sigma = np.maximum(fitted, _sigma_floor(psd)) / math.sqrt(n_avg)
         proj = _Projection(model, freq, psd, sigma)
-        result = least_squares(proj.residual, theta, jac=proj.jacobian, **_LM_OPTIONS)
-        theta = result.x
-    p, jac = proj.solution(theta)
-    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(jac.T @ jac)), 0.0, None))
-    return result, dict(zip(model.names, map(float, p))), dict(zip(model.names, map(float, sig)))
-
-
-def _chi2_reduced(res, n_params: int) -> float:
-    dof = max(res.fun.size - n_params, 1)
-    return float(2 * res.cost / dof)
+        result = levenberg_marquardt(proj, result.x, **tols)
+    p, jac = proj.solution(result.x)
+    fisher = jac.T @ jac
+    finite = np.isfinite(fisher).all()
+    sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(fisher)), 0, None)) if finite else p * np.nan
+    converged = result.converged and np.isfinite(p).all() and np.isfinite(sig).all()
+    chi2 = float(result.resid @ result.resid / max(result.resid.size - len(model.names), 1))
+    named = (dict(zip(model.names, map(float, values))) for values in (p, sig))
+    return result._replace(converged=bool(converged)), *named, chi2
 
 
 def _stokes_anti(params: dict, key: str) -> tuple[float, float]:
@@ -399,7 +399,7 @@ def fit_single_pair(
     freq, psd = data.freq_hz[sel], data.psd[sel]
     guess = dict(zip(("center_1_hz", "center_2_hz", "gamma_eff_hz"), _initial_guess(freq, psd)))
     theta0 = [hint.get(name, value) for name, value in guess.items()]
-    res, params, sigmas = _run_weighted_fit(_PairModel, theta0, freq, psd, data.n_avg)
+    res, params, sigmas, chi2 = _run_weighted_fit(_PairModel, theta0, freq, psd, data.n_avg)
     params["gamma_eff_hz"] = abs(params["gamma_eff_hz"])
     r0 = _ratio(*_stokes_anti(params, "area_{}"), ratio_correction)
     params["r0"] = r0
@@ -407,11 +407,11 @@ def fit_single_pair(
     return FitResult(
         params=params,
         sigmas=sigmas,
-        chi2_reduced=_chi2_reduced(res, len(_PairModel.names)),
+        chi2_reduced=chi2,
         ratios=Ratios(r0=r0, r_plus=r0, r_minus=r0),
         n_bar_inferred=1.0 / (r0 - 1.0) if math.isfinite(r0) and r0 > 1 else math.nan,
-        converged=bool(res.success),
-        n_iter=int(res.nfev),
+        converged=res.converged and math.isfinite(r0),
+        n_iter=res.nfev,
         flags=_coverage_flags(data, centers, params["gamma_eff_hz"]),
     )
 
@@ -419,12 +419,12 @@ def fit_single_pair(
 _S_SCAN = (0.02, 0.08, 0.18, 0.32, 0.5, 0.7, 0.9)
 
 
-def _scan_linear_start(model, freq, psd, n_avg, c1, c2) -> float:
-    """q of the best point of a coarse s grid at the first-pass weights.
+@np.errstate(all="ignore")  # as in _run_weighted_fit
+def _scan_linear_start(proj, c1, c2) -> float:
+    """q of the best point of a coarse s grid, at the projection's weights.
 
     Each grid point costs one linear solve for floor and areas; this puts the
     nonlinear polish close to the optimum."""
-    proj = _Projection(model, freq, psd, _initial_sigma(psd, n_avg))
     qs = logit(np.array(_S_SCAN) / S_MAX)
     costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in qs]
     return float(qs[int(np.argmin(costs))])
@@ -447,9 +447,10 @@ def fit_double_pair(
     if gamma_eff_hz <= 0:
         raise ValueError("gamma_eff_fixed must be positive")
     hint = init_hint or {}
-    model = _TwoPairModel(gamma_eff_hz)
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
+    model = _TwoPairModel(gamma_eff_hz, freq.size)
+    proj = _Projection(model, freq, psd, _initial_sigma(psd, data.n_avg))
     if "center_1_hz" in hint and "center_2_hz" in hint:
         c1, c2 = hint["center_1_hz"], hint["center_2_hz"]
     else:
@@ -458,8 +459,10 @@ def fit_double_pair(
     if "s" in hint:
         q0 = float(logit(min(max(hint["s"], 1e-6), S_MAX * 0.999) / S_MAX))
     else:
-        q0 = _scan_linear_start(model, freq, psd, data.n_avg, c1, c2)
-    res, params, sigmas = _run_weighted_fit(model, (c1, c2, q0), freq, psd, data.n_avg)
+        q0 = _scan_linear_start(proj, c1, c2)
+    res, params, sigmas, chi2 = _run_weighted_fit(
+        model, (c1, c2, q0), freq, psd, data.n_avg, proj
+    )
     e = expit(params["q"])
     s_hat = float(S_MAX * e)
     params["s"] = s_hat
@@ -483,11 +486,11 @@ def fit_double_pair(
     return FitResult(
         params=params,
         sigmas=sigmas,
-        chi2_reduced=_chi2_reduced(res, len(model.names)),
+        chi2_reduced=chi2,
         ratios=Ratios(r0=r0, r_plus=r_plus, r_minus=r_minus),
         n_bar_inferred=None,
-        converged=bool(res.success),
-        n_iter=int(res.nfev),
+        converged=res.converged and all(map(math.isfinite, (r0, r_plus, r_minus))),
+        n_iter=res.nfev,
         flags=tuple(flags),
     )
 
@@ -496,10 +499,7 @@ def fit_pair_two_stage(pair: OnOffPair, ratio_correction: float = 1.0):
     """Off-fit then on-fit with Gamma_eff frozen; returns (off, on) results."""
     off = fit_single_pair(pair.drive_off, ratio_correction=ratio_correction)
     gamma_eff = off.params["gamma_eff_hz"] * TWO_PI
-    hint = {
-        "center_1_hz": off.params["center_1_hz"],
-        "center_2_hz": off.params["center_2_hz"],
-    }
+    hint = {name: off.params[name] for name in ("center_1_hz", "center_2_hz")}
     on = fit_double_pair(
         pair.drive_on, gamma_eff, init_hint=hint, ratio_correction=ratio_correction
     )
@@ -514,7 +514,7 @@ def _trial_fits(truth: ExperimentTruth, seed: int):
     )
     try:
         off, on = fit_pair_two_stage(pair)
-    except (np.linalg.LinAlgError, ValueError):
+    except (np.linalg.LinAlgError, ValueError, GridError):
         return None
     return (off, on) if off.converged and on.converged else None
 
@@ -556,9 +556,7 @@ def bias_study(
         raise FitFailureError("bias study produced fewer than 2 usable fits")
     mean = float(values.mean())
     std = float(values.std(ddof=1))
-    centered = values - mean
-    m2 = float((centered**2).mean())
-    m3 = float((centered**3).mean())
+    m2, m3 = (float(((values - mean) ** k).mean()) for k in (2, 3))
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     upper = max(0.2, float(values.max()))
     counts, edges = np.histogram(values, bins=60, range=(0.0, upper))

@@ -236,6 +236,17 @@ class TestSynthFitFlow:
         assert err.startswith("error:") and "non-finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("psd, code", [(np.ones(3000), 4), (np.ones(3), 1)])
+    def test_fit_degenerate_spectrum_exit_code(self, tmp_path, capsys, psd, code):
+        # a flat spectrum fits to no peak (not converged); 3 bins are too few
+        path = tmp_path / "drive_off.csv"
+        freq = 529000.0 + 0.2 * np.arange(psd.size)
+        SpectrumData(freq_hz=freq, psd=psd, n_avg=10).to_csv(path)
+        assert cli.main(["fit", "--off", str(path), "--out-dir", str(tmp_path / "fits")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("fit failure:" if code == 4 else "error:")
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_physical_level_synth(self, tmp_path, paper_config_path):
         out = tmp_path / "phys"
         code = cli.main(

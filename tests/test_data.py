@@ -86,6 +86,32 @@ class TestSpectrumData:
         full = SpectrumData(freq_hz=0.5 * np.arange(13), psd=np.ones(13), n_avg=1)
         assert full.missing_bins(0.0, 6.0) == 0
 
+    @pytest.mark.parametrize("center_hz", [1.06e6, 1.2e6, 3e6])
+    def test_synthetic_grid_above_1_mhz_accepted(self, center_hz):
+        # the float spacing of these frequencies exceeds 1e-9 of the 0.2 Hz step
+        from sqzband.synthesizer import DetectionConfig, synthetic_grid_hz
+
+        freq = synthetic_grid_hz(center_hz, DetectionConfig())
+        assert SpectrumData(freq_hz=freq, psd=np.ones(freq.size), n_avg=10).n_bins == freq.size
+        freq[5] += 1e-7  # a step off by far more than the rounding
+        with pytest.raises(GridError, match="multiple"):
+            SpectrumData(freq_hz=freq, psd=np.ones(freq.size), n_avg=10)
+
+    def test_fit_recovers_s_at_1_2_mhz(self):
+        from sqzband.fitter import ExperimentTruth, fit_pair_two_stage
+        from sqzband.seeding import task_seed
+        from sqzband.synthesizer import DetectionConfig, synth_onoff_from_rates
+
+        det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=300.0, snr=30.0, n_avg=1200)
+        truth = ExperimentTruth(
+            gamma_eff=TWO_PI * 100.0, s=0.53, n_bar=5.8, center_hz=1.2e6, detection=det
+        )
+        rates_on, rates_off = truth.rates_pair()
+        pair = synth_onoff_from_rates(rates_on, rates_off, 5.8, det, seed=task_seed(2024, 0))
+        off, on = fit_pair_two_stage(pair)
+        assert off.converged and on.converged
+        assert abs(on.params["s"] - 0.53) < 4 * on.sigmas["s"] < 0.01
+
     def test_gap_off_the_lattice_rejected(self):
         with pytest.raises(GridError, match="multiple"):
             SpectrumData(freq_hz=np.array([0, 0.2, 0.4, 0.7, 0.9]), psd=np.ones(5), n_avg=1)

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from conftest import TWO_PI
+from sqzband import fitter
 from sqzband.data import SpectrumData
-from sqzband.errors import GridError
+from sqzband.errors import FitFailureError, GridError
 from sqzband.fitter import (
     S_MAX,
     ExperimentTruth,
@@ -100,6 +102,13 @@ class TestSinglePairFit:
         plain = fit_single_pair(off_data)
         corrected = fit_single_pair(off_data, ratio_correction=1.05)
         assert corrected.ratios.r0 == pytest.approx(plain.ratios.r0 * 1.05, rel=1e-9)
+
+    def test_exhausted_budget_is_not_converged(self, monkeypatch):
+        (off_data, _), _, _ = noiseless_pair(truth_for(0.0))
+        monkeypatch.setattr(fitter, "_MAX_NFEV", 2)
+        result = fit_single_pair(off_data)
+        assert not result.converged
+        assert result.n_iter == 2
 
 
 class TestDoublePairFit:
@@ -413,3 +422,54 @@ class TestRecoveryCampaign:
         for key in ("s", "gamma_eff_hz", "r0", "r_plus", "r_minus", "n_bar"):
             assert all(key in row for row in rows)
         assert rows == recovery_campaign(truth, n_repeats=8, root_seed=3)
+
+
+class TestSigmaCalibration:
+    def test_pull_of_s_has_unit_width(self):
+        # criterion-7 settings: (s - 0.53) / sigma_s over 200 repeats
+        rows = recovery_campaign(truth_for(0.53), n_repeats=200, root_seed=2024)
+        assert len(rows) == 200
+        pull = np.array([(row["s"] - 0.53) / row["s_sigma_fit"] for row in rows])
+        assert abs(pull.std(ddof=1) - 1) <= 0.15
+        assert abs(pull.mean()) < 0.2
+
+
+FLAT_FREQ = CENTER_HZ + 0.2 * np.arange(3000)
+
+
+def _fit_both_warning_free(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit_single_pair(data), fit_double_pair(data, TWO_PI * 100.0)
+
+
+class TestDegenerateSpectra:
+    def test_flat_spectrum_is_not_converged(self):
+        # without a peak the off-fit width runs away and both areas vanish
+        data = SpectrumData(freq_hz=FLAT_FREQ, psd=np.ones(FLAT_FREQ.size), n_avg=10)
+        off, _ = _fit_both_warning_free(data)
+        assert not off.converged
+        assert off.params["area_1"] == off.params["area_2"] == 0
+        assert off.ratios.r0 == math.inf
+
+    def test_zero_spectrum_is_not_converged(self):
+        data = SpectrumData(freq_hz=FLAT_FREQ, psd=np.zeros(FLAT_FREQ.size), n_avg=10)
+        off, on = _fit_both_warning_free(data)
+        assert not off.converged and not on.converged
+
+    @pytest.mark.parametrize("n_bins, n_masked", [(3, 0), (3000, 3000), (3000, 2994)])
+    def test_fewer_bins_than_the_smoothing_kernel_rejected(self, n_bins, n_masked):
+        mask = np.arange(n_bins) < n_masked
+        data = SpectrumData(freq_hz=FLAT_FREQ[:n_bins], psd=np.ones(n_bins), n_avg=10, mask=mask)
+        with pytest.raises(GridError, match="smoothing kernel"):
+            fit_single_pair(data)
+        with pytest.raises(GridError, match="smoothing kernel"):
+            fit_double_pair(data, TWO_PI * 100.0)
+
+    def test_failed_trials_counted_not_raised(self):
+        # 0.25 Hz half-width bands hold 3 bins each, too few to fit
+        det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=0.25, snr=30.0, n_avg=10)
+        truth = truth_for(0.53, detection=det)
+        assert fitter._trial_fits(truth, task_seed(1, 0)) is None
+        with pytest.raises(FitFailureError, match="more than half"):
+            recovery_campaign(truth, n_repeats=4, root_seed=1, n_jobs=2)
