@@ -273,9 +273,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     manifest = _manifest(args, cfg, "synth")
     if args.level == "physical":
-        pair = make_onoff_pair(
-            cfg.params, cfg.pump, cfg.detection, cfg.detection.n_avg, args.seed
-        )
+        pair = make_onoff_pair(cfg.params, cfg.pump, cfg.detection, args.seed)
     else:
         truth = _truth_from_config(cfg)
         rates_on, rates_off = truth.rates_pair()
@@ -330,7 +328,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, args) -> tuple[list[str], list[dict]]:
+def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("config has no [sweep] section")
@@ -428,7 +426,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     manifest = _manifest(args, cfg, "sweep")
-    axis_cols, rows = _sweep_rows(cfg, args)
+    axis_cols, rows = _sweep_rows(cfg)
     names = list(axis_cols) + ["stable"]
     for row in rows:
         for key in row:
@@ -611,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="INI config file")
         p.add_argument("--seed", type=int, default=1234, help="root seed")
         p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
     p = sub.add_parser("rates", help="derived rates and stability flags")
     common(p)
@@ -619,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="model sideband and quadrature curves")
     common(p)
+    p.add_argument("--format", choices=("csv", "svg"), default="csv", help="svg adds a plot")
     p.add_argument("--n-bar", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--gamma-eff-hz", type=float, default=None)
@@ -643,6 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep from the [sweep] section")
     common(p)
+    p.add_argument("--format", choices=("csv", "svg"), default="csv", help="svg adds a plot")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("experiment", help="synth + fit recovery campaign")

@@ -27,8 +27,7 @@ class SweepSettings:
     start: float
     stop: float
     n_points: int
-    outputs: tuple[str, ...] = ("s", "r0", "r_plus", "r_minus")
-    held: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict)  # n_bar, gamma_eff_hz (parametric_gain_s axis)
     s_table: tuple[tuple[float, float], ...] = ()  # (gamma_eff_hz, s) overrides
 
     def __post_init__(self):
@@ -205,17 +204,10 @@ def load_config(path) -> RunConfig:
     sweep = None
     if parser.has_section("sweep"):
         held = {}
-        for key in ("n_bar", "s", "gamma_eff_hz"):
+        for key in ("n_bar", "gamma_eff_hz"):
             value = _get(parser, "sweep", key)
             if value is not None:
                 held[key] = value
-        outputs = tuple(
-            item.strip()
-            for item in parser.get(
-                "sweep", "outputs", fallback="s, r0, r_plus, r_minus"
-            ).split(",")
-            if item.strip()
-        )
         table_text = parser.get("sweep", "s_table", fallback="").strip()
         s_table = []
         if table_text:
@@ -230,7 +222,6 @@ def load_config(path) -> RunConfig:
             start=_get(parser, "sweep", "start", required=True),
             stop=_get(parser, "sweep", "stop", required=True),
             n_points=_get(parser, "sweep", "n_points", cast=int, default=21),
-            outputs=outputs,
             held=held,
             s_table=tuple(s_table),
         )

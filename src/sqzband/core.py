@@ -124,13 +124,6 @@ class PumpConfig:
     alpha_in_minus: complex
     alpha_in_plus: complex
 
-    @classmethod
-    def from_polar(cls, mag_minus, phase_minus_deg, mag_plus, phase_plus_deg):
-        return cls(
-            alpha_in_minus=mag_minus * cmath.exp(1j * math.radians(phase_minus_deg)),
-            alpha_in_plus=mag_plus * cmath.exp(1j * math.radians(phase_plus_deg)),
-        )
-
     def scaled(self, factor: float) -> "PumpConfig":
         """Both tones scaled by a common real amplitude factor."""
         return PumpConfig(self.alpha_in_minus * factor, self.alpha_in_plus * factor)

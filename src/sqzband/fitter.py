@@ -6,6 +6,8 @@ spectrum with two pairs whose widths are tied to Gamma_eff (1 -/+ s) with
 Gamma_eff frozen at the off-fit value and s the only extra shape parameter
 (-> s, R+, R-).  Weights follow the averaged-periodogram noise law
 sigma_bin = PSD_model / sqrt(n_avg), refreshed from the current model.
+Every line is the one Lorentzian kernel, `lineshape.lorentzian`, with weight
+width/2pi: unit area on the Hz grid of the data.
 
 Both models are linear in the floor and the areas, so the fits are separable
 (variable projection; Golub & Pereyra, Inverse Problems 19 (2003) R1): Moré's
@@ -34,7 +36,7 @@ from scipy.special import expit, logit
 from .core import TWO_PI, DerivedRates
 from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
-from .lineshape import Ratios
+from .lineshape import Ratios, lorentzian
 from .lm import levenberg_marquardt
 from .seeding import task_seed
 from .synthesizer import DetectionConfig, synth_onoff_from_rates
@@ -61,6 +63,8 @@ class FitResult:
     (projected) problem in the last reweighting pass.  ``sigmas["s"]`` of a
     drive-on fit is NaN when the ``s_at_lower_bound`` flag is set: the model
     is even in s, so the linearised uncertainty is undefined at s -> 0.
+    Non-finite values (NaN sigmas, R0 = inf) stay floats here and are
+    written as ``null`` by `io.write_json`.
     """
 
     params: dict
@@ -129,12 +133,6 @@ class BiasStudyReport:
         return out
 
 
-def _lorentz(d2, gamma_hz, out=None):
-    """Unit-area Lorentzian in per-Hz density form, at squared offsets d2."""
-    out = np.add(d2, gamma_hz * gamma_hz / 4, out=out)
-    return np.divide(gamma_hz / TWO_PI, out, out=out)
-
-
 class _Basis(NamedTuple):
     """Unweighted columns at one theta, one per row: the model is floor +
     areas @ lines, unit-area Lorentzians on centre theta[0] (first half) and
@@ -160,7 +158,7 @@ class _PairModel:
     def basis(f, theta) -> _Basis:
         c1, c2, g = theta
         d = f - np.array([[c1], [c2]])
-        lines = _lorentz(d * d, abs(g))
+        lines = lorentzian(d * d, abs(g), abs(g) / TWO_PI)
         return _Basis(d, lines, np.full(2, abs(g)), np.full(2, math.copysign(1.0, g)), lines)
 
     @staticmethod
@@ -196,7 +194,8 @@ class _TwoPairModel:
         d = f - np.array([[c1], [c2]])
         d2 = d * d
         lines, solve = self._lines, self._solve
-        narrow, broad = _lorentz(d2, gn, lines[:, 0]), _lorentz(d2, gb, lines[:, 1])
+        narrow = lorentzian(d2, gn, gn / TWO_PI, out=lines[:, 0])
+        broad = lorentzian(d2, gb, gb / TWO_PI, out=lines[:, 1])
         np.add(narrow, broad, out=solve[:, 0])
         # L_n - L_b = (gn - gb) (d^2 - gn gb / 4) / (2 pi den_n den_b)
         gap = np.subtract(d2, gn * gb / 4, out=solve[:, 1])
@@ -382,23 +381,16 @@ def apply_mask(data: SpectrumData, exclusion_windows) -> SpectrumData:
     return data.with_mask(mask)
 
 
-def fit_single_pair(
-    data: SpectrumData,
-    init_hint: dict | None = None,
-    ratio_correction: float = 1.0,
-) -> FitResult:
+def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitResult:
     """One pair of equal-width Lorentzians over a floor (drive-off model).
 
     Returns Gamma_eff, the Stokes/anti-Stokes area ratio R0 (after the
     optional external ratio correction) and the occupancy implied by
     R0 = 1 + 1/n.  The higher-frequency peak is the Stokes sideband.
-    `init_hint` may set the starting center_1_hz, center_2_hz and gamma_eff_hz.
     """
-    hint = init_hint or {}
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
-    guess = dict(zip(("center_1_hz", "center_2_hz", "gamma_eff_hz"), _initial_guess(freq, psd)))
-    theta0 = [hint.get(name, value) for name, value in guess.items()]
+    theta0 = _initial_guess(freq, psd)
     res, params, sigmas, chi2 = _run_weighted_fit(_PairModel, theta0, freq, psd, data.n_avg)
     params["gamma_eff_hz"] = abs(params["gamma_eff_hz"])
     r0 = _ratio(*_stokes_anti(params, "area_{}"), ratio_correction)

@@ -7,6 +7,7 @@ byte-identical outputs; wall-clock information lives only in the manifest.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,10 +57,22 @@ def _format_cell(value) -> str:
 
 
 def write_json(path, payload: dict) -> Path:
+    """Strict JSON (RFC 8259): NaN and +/-inf floats are written as null."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 @dataclass

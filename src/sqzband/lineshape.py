@@ -27,6 +27,20 @@ from .core import DerivedRates
 from .errors import GridError, InternalConsistencyError
 
 
+def lorentzian(d2, width, weight, out=None) -> np.ndarray:
+    """weight / (d2 + width^2/4) at squared offsets d2, written into `out`
+    when one is given.
+
+    The one Lorentzian kernel: its integral over the offset is
+    2 pi weight / width, so weight = area * width gives the per-dW/2pi
+    components below and weight = width/2pi the fitter's unit-area lines
+    on a Hz grid.
+    """
+    den = np.add(d2, width * width / 4, out=out)
+    # a scalar d2 gives a numpy scalar, which cannot hold the quotient
+    return np.divide(weight, den, out=den if isinstance(den, np.ndarray) else None)
+
+
 @dataclass(frozen=True)
 class Lorentzian:
     """One spectral component; area_weight is its integral over dW/2pi."""
@@ -41,7 +55,7 @@ class Lorentzian:
 
     def psd(self, omega) -> np.ndarray:
         d = np.asarray(omega, dtype=float) - self.center
-        return self.area_weight * self.width / (d * d + self.width**2 / 4)
+        return lorentzian(d * d, self.width, self.area_weight * self.width)
 
 
 @dataclass(frozen=True)
@@ -67,8 +81,7 @@ class SpectrumModel:
             if c.center not in d2:
                 d = np.subtract(omega, c.center, out=np.empty_like(omega))
                 d2[c.center] = np.multiply(d, d, out=d)
-            np.add(d2[c.center], c.width**2 / 4, out=term)
-            total += np.divide(c.area_weight * c.width, term, out=term)
+            total += lorentzian(d2[c.center], c.width, c.area_weight * c.width, out=term)
         total *= self.calibration
         total += self.floor
         return total
@@ -76,10 +89,6 @@ class SpectrumModel:
     def psd_hz(self, freq_hz) -> np.ndarray:
         """Same model sampled on an ordinary-frequency grid (Hz)."""
         return self.psd(2 * math.pi * np.asarray(freq_hz, dtype=float))
-
-    @property
-    def component_area_sum(self) -> float:
-        return sum(c.area_weight for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -121,13 +130,18 @@ def sideband_components(
     )
 
 
+def _sideband_psd(rates: DerivedRates, n_bar: float, grid, stokes: bool) -> np.ndarray:
+    """(G_eff/2) [w_-/(dW^2+G_-^2/4) + w_+/(dW^2+G_+^2/4)] on a grid of offsets."""
+    d2 = np.asarray(grid, dtype=float) ** 2
+    w_minus, w_plus = _component_weights(n_bar, rates.s, stokes)
+    return (rates.gamma_eff / 2) * (
+        lorentzian(d2, rates.gamma_minus, w_minus) + lorentzian(d2, rates.gamma_plus, w_plus)
+    )
+
+
 def stokes_spectrum(rates: DerivedRates, n_bar: float, grid) -> np.ndarray:
     """Stokes sideband PSD on a grid of offsets from the sideband center."""
-    d2 = np.asarray(grid, dtype=float) ** 2
-    w_minus, w_plus = _component_weights(n_bar, rates.s, stokes=True)
-    return (rates.gamma_eff / 2) * (
-        w_minus / (d2 + rates.gamma_minus**2 / 4) + w_plus / (d2 + rates.gamma_plus**2 / 4)
-    )
+    return _sideband_psd(rates, n_bar, grid, stokes=True)
 
 
 def antistokes_spectrum(rates: DerivedRates, n_bar: float, grid) -> np.ndarray:
@@ -136,11 +150,7 @@ def antistokes_spectrum(rates: DerivedRates, n_bar: float, grid) -> np.ndarray:
     The total stays positive analytically (numerator n*dW^2 + const >= 0);
     a negative sample would mean numerical breakage and raises.
     """
-    d2 = np.asarray(grid, dtype=float) ** 2
-    w_minus, w_plus = _component_weights(n_bar, rates.s, stokes=False)
-    out = (rates.gamma_eff / 2) * (
-        w_minus / (d2 + rates.gamma_minus**2 / 4) + w_plus / (d2 + rates.gamma_plus**2 / 4)
-    )
+    out = _sideband_psd(rates, n_bar, grid, stokes=False)
     if np.any(out < 0):
         raise InternalConsistencyError("anti-Stokes PSD went negative on the grid")
     return out

@@ -246,13 +246,12 @@ def synth_onoff_from_rates(
     detection: DetectionConfig,
     seed: int,
     params: SystemParams | None = None,
-    n_avg: int | None = None,
 ) -> OnOffPair:
     """Drive-on / drive-off synthetic pair from explicit rate sets.
 
     Both spectra hold the bins of `synthetic_grid_hz` inside the two fitted
-    bands only (a gapped grid, nothing masked)."""
-    n_avg = detection.n_avg if n_avg is None else n_avg
+    bands only (a gapped grid, nothing masked), averaged over
+    `detection.n_avg` segments."""
     cal = detection.resolve_calibration(rates_off, n_bar)
     center_hz = rates_on.omega_m / TWO_PI
     full = synthetic_grid_hz(center_hz, detection)
@@ -269,7 +268,7 @@ def synth_onoff_from_rates(
         spectra[label] = synth_periodogram(
             mean_psd,
             freq,
-            n_avg,
+            detection.n_avg,
             seed=task_seed(seed, idx),
             drawn=in_band,
             meta={"drive": label, **_truth_meta(rates, n_bar, detection, cal)},
@@ -283,25 +282,17 @@ def synth_onoff_from_rates(
 
 
 def make_onoff_pair(
-    params: SystemParams,
-    pump: PumpConfig,
-    detection: DetectionConfig,
-    n_avg: int,
-    seed: int,
-    pump_off_variant: PumpConfig | None = None,
+    params: SystemParams, pump: PumpConfig, detection: DetectionConfig, seed: int
 ) -> OnOffPair:
-    """Physical-level pair: off member keeps cooling, drops the parametric rate."""
+    """Physical-level pair: the rates follow from the pump by `derive_all`;
+    the off member keeps the on member's cooling, resonance and occupancy and
+    only drops the parametric rate."""
     rates_on = derive_all(params, pump)
-    rates_off = derive_all(params, pump_off_variant or pump).without_parametric_drive()
-    if pump_off_variant is None:
-        # identical cooling by construction; keep one grid center
-        rates_off = replace(rates_off, omega_m=rates_on.omega_m)
     return synth_onoff_from_rates(
         rates_on,
-        rates_off,
+        rates_on.without_parametric_drive(),
         n_bar=rates_on.n_bar,
         detection=detection,
         seed=seed,
         params=params,
-        n_avg=n_avg,
     )

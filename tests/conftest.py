@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -11,6 +12,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CONFIG = REPO_ROOT / "configs" / "paper.ini"
 
 TWO_PI = 2 * math.pi
+
+
+def load_strict_json(path):
+    """JSON file contents; NaN, Infinity and -Infinity (not RFC 8259) raise."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

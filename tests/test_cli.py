@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, load_table
+from conftest import TWO_PI, load_strict_json, load_table
 from sqzband import cli
 from sqzband.config import load_config
 from sqzband.core import derive_all
@@ -246,6 +246,10 @@ class TestSynthFitFlow:
         err = capsys.readouterr().err
         assert err.startswith("fit failure:" if code == 4 else "error:")
         assert "Traceback" not in err and "Warning" not in err
+        if code == 4:
+            # R0 = inf and NaN sigmas are written as null: strict JSON
+            result = load_strict_json(tmp_path / "fits" / "fit_off.json")
+            assert result["params"]["r0"] is None
 
     def test_physical_level_synth(self, tmp_path, paper_config_path):
         out = tmp_path / "phys"
@@ -473,6 +477,28 @@ class TestRerun:
         assert code == 0
         for name in ("drive_on.csv", "drive_off.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_sweep_svg_rerun_reproduces_table(self, tmp_path, paper_config_path):
+        first = tmp_path / "first"
+        args = ["sweep", "--config", str(paper_config_path), "--out-dir", str(first)]
+        assert cli.main(args + ["--format", "svg"]) == 0
+        assert (first / "sweep.svg").exists()
+        second = tmp_path / "second"
+        assert cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(second)]) == 0
+        assert (second / "sweep.svg").exists()
+        assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
+
+
+class TestFormatOption:
+    @pytest.mark.parametrize(
+        "command, value", [("rates", "svg"), ("synth", "csv"), ("spectrum", "json")]
+    )
+    def test_rejected_where_it_does_nothing(self, tmp_path, paper_config_path, command, value):
+        # only spectrum and sweep take --format, and only csv or svg
+        args = [command, "--config", str(paper_config_path), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--format", value])
+        assert exc.value.code == 2
 
 
 class TestOutDirEnv:

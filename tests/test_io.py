@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sqzband.io import _format_cell, write_csv
+from conftest import load_strict_json
+from sqzband.io import _format_cell, write_csv, write_json
 
 AWKWARD = [5e-324, 1e22, 0.1 + 0.2, 518799.80000000005, -0.0, math.nan, math.inf, 1e-7]
 
@@ -51,3 +52,19 @@ def test_rows_stop_at_shortest_column(tmp_path):
 def test_creates_parent_directory(tmp_path):
     path = write_csv(tmp_path / "new" / "t.csv", {"x": np.array([1.5])})
     assert path.read_text() == "x\n1.5\n"
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    payload = {
+        "sigmas": {"s": math.nan, "q": 0.25},
+        "ratios": [math.inf, -math.inf, 1.5, (math.nan, 2)],
+        "flags": ["s_at_lower_bound"],
+        "ok": True,
+    }
+    path = write_json(tmp_path / "report.json", payload)
+    assert load_strict_json(path) == {
+        "sigmas": {"s": None, "q": 0.25},
+        "ratios": [None, None, 1.5, [None, 2]],
+        "flags": ["s_at_lower_bound"],
+        "ok": True,
+    }

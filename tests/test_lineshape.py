@@ -12,6 +12,7 @@ from sqzband.lineshape import (
     SpectrumModel,
     antistokes_spectrum,
     heterodyne_composite,
+    lorentzian,
     quadrature_spectrum,
     quadrature_variances,
     sideband_areas,
@@ -283,3 +284,26 @@ class TestSpectrumModel:
         comp = Lorentzian(center=0.0, width=TWO_PI * 10, area_weight=3.7)
         val, _ = quad(lambda d: comp.psd(d), -np.inf, np.inf)
         assert val / TWO_PI == pytest.approx(3.7, rel=1e-9)
+
+    def test_psd_is_floor_plus_calibrated_component_sum(self):
+        # the in-place evaluation does the same operations as the plain sum
+        rates = rates_for(0.4, n_bar=0.3)
+        grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 2001)
+        model, psd = heterodyne_composite(rates, 0.3, TWO_PI * 11e3, 1.7, 0.4, grid)
+        expected = model.floor + model.calibration * sum(c.psd(grid) for c in model.components)
+        assert np.array_equal(psd, expected)
+
+
+class TestLorentzianKernel:
+    def test_unit_area_per_hz(self):
+        gamma_hz = 7.3
+        val, _ = quad(lambda f: lorentzian(f * f, gamma_hz, gamma_hz / TWO_PI), -np.inf, np.inf)
+        assert val == pytest.approx(1.0, rel=1e-9)
+
+    def test_writes_into_out(self):
+        d2 = np.linspace(0.0, 4.0, 9) ** 2
+        buf = np.empty_like(d2)
+        got = lorentzian(d2, 2.0, 3.0, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, 3.0 / (d2 + 1.0))
+        assert np.array_equal(lorentzian(d2, 2.0, 3.0), buf)
