@@ -72,7 +72,7 @@ def _manifest(args, cfg: RunConfig | None, command: str) -> RunManifest:
     return RunManifest(
         command=command,
         config_snapshot=cfg.snapshot() if cfg else {},
-        root_seed=args.seed,
+        root_seed=getattr(args, "seed", None),
         tool_version=__version__,
         arguments={"argv": argv},
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -605,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="INI config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--seed", type=int, default=1234, help="root seed")
         p.add_argument("--out-dir", default=None, help="output directory")
 
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="two-stage fit of spectrum CSVs")
-    common(p, config_required=False)
+    p.add_argument("--out-dir", default=None, help="output directory")
     p.add_argument("--off", required=True, help="drive-off spectrum CSV")
     p.add_argument("--on", default=None, help="drive-on spectrum CSV")
     p.add_argument("--ratio-correction", type=float, default=1.0)

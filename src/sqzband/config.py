@@ -28,7 +28,7 @@ class SweepSettings:
     stop: float
     n_points: int
     held: dict = field(default_factory=dict)  # n_bar, gamma_eff_hz (parametric_gain_s axis)
-    s_table: tuple[tuple[float, float], ...] = ()  # (gamma_eff_hz, s) overrides
+    s_table: tuple[tuple[float, float], ...] = ()  # (gamma_eff_hz, s) overrides (gamma_eff axis)
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -37,6 +37,10 @@ class SweepSettings:
             raise ConfigError("sweep start must be below stop")
         if self.n_points < 2:
             raise ConfigError("sweep needs at least 2 points")
+        unread = list(self.held) if self.axis != "parametric_gain_s" else []
+        unread += ["s_table"] if self.s_table and self.axis != "gamma_eff" else []
+        if unread:
+            raise ConfigError(f"[sweep] {', '.join(unread)}: not read on the {self.axis} axis")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ The grid is a lattice: ascending, each step a whole positive multiple of the
 first step (within a relative 1e-9 plus the float rounding of the
 frequencies).  A full uniform grid with masked bins and the same grid with
 those bins left out are both valid; synthetic spectra store the fitted bands
-only.
+only.  Each bin's integer lattice index is derived once, and window queries
+(which stored bins, how many lattice points) are integer arithmetic on it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class SpectrumData:
 
     Every step is a whole positive multiple of the first one, which is
     `resolution_hz`: a uniform grid, or a uniform grid with gaps (bins no
-    fit reads, left out instead of masked).
+    fit reads, left out instead of masked).  `k` (derived, int64) is each
+    bin's lattice index, freq_hz ~ freq_hz[0] + k * resolution_hz with
+    k[0] = 0; `window` answers window queries on it.
     """
 
     freq_hz: np.ndarray
@@ -45,6 +48,7 @@ class SpectrumData:
     n_avg: int
     mask: np.ndarray = None  # True = excluded from fits
     meta: dict = field(default_factory=dict)
+    k: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         freq = np.asarray(self.freq_hz, dtype=float)
@@ -57,10 +61,7 @@ class SpectrumData:
             if not np.isfinite(values).all():
                 bad = np.flatnonzero(~np.isfinite(values))
                 raise GridError(f"{name} has {bad.size} non-finite bins (first at index {bad[0]})")
-        if not _on_lattice(freq):
-            raise GridError(
-                "frequency grid must be ascending, each step a whole multiple of the first"
-            )
+        object.__setattr__(self, "k", _lattice_index(freq))
         if np.any(psd < 0):
             raise ValueError("psd must be nonnegative")
         if self.n_avg < 1:
@@ -85,14 +86,14 @@ class SpectrumData:
         """Boolean selector of bins that participate in fits."""
         return ~self.mask
 
-    def missing_bins(self, lo_hz: float, hi_hz: float) -> int:
-        """Lattice points in [lo_hz, hi_hz] that fall in the grid's gaps."""
-        freq, res = self.freq_hz, self.resolution_hz
-        multiple = _step_multiples(np.diff(freq))
-        i = np.flatnonzero(multiple > 1)
-        k_lo = np.maximum(np.ceil((lo_hz - freq[i]) / res), 1)
-        k_hi = np.minimum(np.floor((hi_hz - freq[i]) / res), multiple[i] - 1)
-        return int(np.clip(k_hi - k_lo + 1, 0, None).sum())
+    def window(self, lo_hz: float, hi_hz: float) -> tuple[slice, int]:
+        """(slice of the stored bins, number of lattice points) in [lo_hz, hi_hz]
+        and in the grid's span; the count includes the points in the gaps."""
+        f0, res, last = self.freq_hz[0], self.resolution_hz, self.k[-1]
+        j_lo = int(np.clip(np.ceil((lo_hz - f0) / res), 0, last + 1))
+        j_hi = int(np.clip(np.floor((hi_hz - f0) / res), -1, last))
+        start, stop = np.searchsorted(self.k, j_lo), np.searchsorted(self.k, j_hi, "right")
+        return slice(int(start), int(stop)), max(j_hi - j_lo + 1, 0)
 
     def with_mask(self, mask: np.ndarray) -> "SpectrumData":
         return SpectrumData(
@@ -125,22 +126,29 @@ class SpectrumData:
             raise GridError(f"{path}: {exc}") from None
 
 
-def _step_multiples(steps: np.ndarray) -> np.ndarray:
-    """Each grid step over the first one, rounded to a whole number."""
-    return np.rint(steps / steps[0])
+def _lattice_index(freq: np.ndarray) -> np.ndarray:
+    """Lattice index of each bin: k[0] = 0, then the running sum of each step
+    over the first, rounded.
 
-
-def _on_lattice(freq: np.ndarray) -> bool:
-    """Each step a whole positive multiple m of the first, within m (_GRID_RTOL
-    steps + 2 ulp of the largest |f|): the first step is known only to an ulp
-    of the frequencies, which above 2^20 Hz exceeds 1e-9 of a 0.2 Hz step."""
+    Each step must be a whole positive multiple m of the first, within
+    m (_GRID_RTOL steps + 2 ulp of the largest |f|): the first step is known
+    only to an ulp of the frequencies, which above 2^20 Hz exceeds 1e-9 of a
+    0.2 Hz step.  The span must stay below 2^53 steps, where the running sum
+    of the multiples is still exact.
+    """
     with np.errstate(all="ignore"):  # a zero first step or steps past float range fail below
         steps = np.diff(freq)
-        step, multiple = steps[0], _step_multiples(steps)
+        step = steps[0]
+        multiple = np.rint(steps / step)
         off = np.abs(steps - multiple * step)
         tol = multiple * (_GRID_RTOL * step + 2 * np.spacing(np.abs(freq).max()))
+        span = multiple.sum()
     whole = np.isfinite(multiple) & (multiple >= 1)
-    return bool(step > 0 and np.all(whole) and np.all(off <= tol))
+    if not (step > 0 and np.all(whole) and np.all(off <= tol) and span < 2.0**53):
+        raise GridError(
+            "frequency grid must be ascending, each step a whole multiple of the first"
+        )
+    return np.concatenate(([0], np.cumsum(multiple))).astype(np.int64)
 
 
 def _is_data(line: str) -> bool:

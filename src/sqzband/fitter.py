@@ -359,11 +359,10 @@ def _coverage_flags(data: SpectrumData, centers_hz, width_hz) -> tuple[str, ...]
     """Flag peaks whose fit region is mostly masked out (error inflation).
 
     Lattice points missing from a gapped grid count as masked bins."""
+    included = data.included()
     for c in centers_hz:
-        window = np.abs(data.freq_hz - c) <= width_hz / 2
-        missing = data.missing_bins(c - width_hz / 2, c + width_hz / 2)
-        n = window.sum() + missing
-        if n and (data.mask[window].sum() + missing) / n > 0.8:
+        bins, n = data.window(c - width_hz / 2, c + width_hz / 2)
+        if n and (n - included[bins].sum()) / n > 0.8:
             return ("peak_region_masked",)
     return ()
 
@@ -431,27 +430,22 @@ def fit_double_pair(
     """Two Lorentzian pairs with widths Gamma_eff (1 -/+ s), s free (drive-on model).
 
     gamma_eff_fixed is angular (rad/s), normally the paired off-fit value.
-    Returns s and the broad/narrow area ratios R+ and R-.  `init_hint` may
-    set the starting center_1_hz, center_2_hz and s; without s the start
-    comes from a coarse s scan.
+    Returns s and the broad/narrow area ratios R+ and R-.  `init_hint`, a
+    dict with center_1_hz and center_2_hz, sets the starting centres; the
+    start of s always comes from a coarse s scan.
     """
     gamma_eff_hz = gamma_eff_fixed / TWO_PI
     if gamma_eff_hz <= 0:
         raise ValueError("gamma_eff_fixed must be positive")
-    hint = init_hint or {}
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
     model = _TwoPairModel(gamma_eff_hz, freq.size)
     proj = _Projection(model, freq, psd, _initial_sigma(psd, data.n_avg))
-    if "center_1_hz" in hint and "center_2_hz" in hint:
-        c1, c2 = hint["center_1_hz"], hint["center_2_hz"]
+    if init_hint:
+        c1, c2 = init_hint["center_1_hz"], init_hint["center_2_hz"]
     else:
         c1, c2, _ = _initial_guess(freq, psd)
-        c1, c2 = hint.get("center_1_hz", c1), hint.get("center_2_hz", c2)
-    if "s" in hint:
-        q0 = float(logit(min(max(hint["s"], 1e-6), S_MAX * 0.999) / S_MAX))
-    else:
-        q0 = _scan_linear_start(proj, c1, c2)
+    q0 = _scan_linear_start(proj, c1, c2)
     res, params, sigmas, chi2 = _run_weighted_fit(
         model, (c1, c2, q0), freq, psd, data.n_avg, proj
     )

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window, lfilter
 
 from .core import DerivedRates, SystemParams
 from .data import SpectrumData
@@ -274,6 +273,7 @@ def sde_simulate(
     starts from its discrete stationary distribution.  Deterministic per
     seed.
     """
+    from scipy.signal import lfilter  # not at module level: ~1 s of `import sqzband`
     if not abs(rates.s) < 1:
         raise ParametricInstabilityError("unstable parameters rejected before integration")
     if dt * rates.gamma_plus >= 0.1:
@@ -340,6 +340,7 @@ def welch_psd(
     if n_seg < 2:
         raise GridError("need at least 2 averaging segments")
 
+    from scipy.signal import get_window  # not at module level, as in sde_simulate
     is_complex = np.iscomplexobj(samples)
     transform = np.fft.fft if is_complex else np.fft.rfft
     taper = get_window(window, segment_length, fftbins=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +254,22 @@ class TestSynthFitFlow:
             result = load_strict_json(tmp_path / "fits" / "fit_off.json")
             assert result["params"]["r0"] is None
 
+    @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.ini"), ("--seed", "99")])
+    def test_fit_rejects_removed_options(self, tmp_path, flag, value):
+        # fit reads no config and draws nothing, so it takes neither option
+        path = tmp_path / "drive_off.csv"
+        SpectrumData(freq_hz=529000.0 + 0.2 * np.arange(8), psd=np.ones(8), n_avg=10).to_csv(path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--off", str(path), "--out-dir", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+
+    def test_fit_manifest_has_no_seed(self, tmp_path, paper_config_path):
+        synth, fits = tmp_path / "synth", tmp_path / "fits"
+        args = ["synth", "--config", str(paper_config_path), "--out-dir", str(synth)]
+        assert cli.main(args) == 0
+        assert cli.main(["fit", "--off", str(synth / "drive_off.csv"), "--out-dir", str(fits)]) == 0
+        assert json.loads((fits / "manifest.json").read_text())["root_seed"] is None
+
     def test_physical_level_synth(self, tmp_path, paper_config_path):
         out = tmp_path / "phys"
         code = cli.main(
@@ -349,6 +368,18 @@ class TestSweepCommand:
         rates = derive_all(cfg.params, cfg.pump)
         assert rows["s"][0] == pytest.approx(abs(rates.s), rel=1e-9)
         assert rows["gamma_eff_hz"][0] == pytest.approx(rates.gamma_eff / TWO_PI, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "line", ["n_bar = 99", "gamma_eff_hz = 7", "s_table = 50:0.30; 500:0.55"]
+    )
+    def test_key_its_axis_never_reads_rejected(self, tmp_path, paper_config_path, line):
+        # n_bar and gamma_eff_hz only matter on parametric_gain_s, s_table on gamma_eff
+        text = Path(paper_config_path).read_text()
+        text = text.replace("n_points = 41", f"n_points = 41\n{line}")
+        path = tmp_path / "sweep.ini"
+        path.write_text(text)
+        assert cli.main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestExperimentCommand:
@@ -499,6 +530,13 @@ class TestFormatOption:
         with pytest.raises(SystemExit) as exc:
             cli.main(args + ["--format", value])
         assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the import time of every command; only the oracle uses it
+    code = "import sqzband, sys; assert 'scipy.signal' not in sys.modules"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestOutDirEnv:

@@ -75,16 +75,35 @@ class TestSpectrumData:
         assert loaded.psd.tobytes() == data.psd.tobytes()
         assert not loaded.mask.any() and loaded.meta == {"seed": 4}
 
-    def test_missing_bins_counts_lattice_points_in_gaps(self):
+    def test_window_counts_lattice_points_in_gaps(self):
         # lattice indices 0-3, 7-8, 12: gaps hold 4-6 and 9-11
         steps = np.array([0, 1, 2, 3, 7, 8, 12])
         data = SpectrumData(freq_hz=0.5 * steps, psd=np.ones(steps.size), n_avg=1)
-        assert data.missing_bins(0.0, 6.0) == 6
-        assert data.missing_bins(2.0, 4.0) == 3  # 2.0, 2.5, 3.0 (indices 4-6)
-        assert data.missing_bins(2.6, 4.9) == 2  # 3.0, 4.5
-        assert data.missing_bins(3.6, 3.9) == 0
+        assert np.array_equal(data.k, steps)
+
+        def missing(spectrum, lo_hz, hi_hz):
+            bins, n = spectrum.window(lo_hz, hi_hz)
+            return n - (bins.stop - bins.start)
+
+        assert missing(data, 0.0, 6.0) == 6
+        assert missing(data, 2.0, 4.0) == 3  # 2.0, 2.5, 3.0 (indices 4-6)
+        assert missing(data, 2.6, 4.9) == 2  # 3.0, 4.5
+        assert missing(data, 3.6, 3.9) == 0
+        assert data.window(2.0, 4.0) == (slice(4, 6), 5)  # stored: 3.5, 4.0
         full = SpectrumData(freq_hz=0.5 * np.arange(13), psd=np.ones(13), n_avg=1)
-        assert full.missing_bins(0.0, 6.0) == 0
+        assert missing(full, 0.0, 6.0) == 0
+
+    def test_window_clipped_to_the_grid_span(self):
+        data = SpectrumData(freq_hz=10.0 + 0.5 * np.arange(5), psd=np.ones(5), n_avg=1)
+        assert data.window(-np.inf, np.inf) == (slice(0, 5), 5)
+        assert data.window(9.0, 10.6) == (slice(0, 2), 2)
+        assert data.window(13.0, 14.0) == (slice(5, 5), 0)
+        assert data.window(11.1, 11.2) == (slice(3, 3), 0)
+
+    def test_span_past_exact_lattice_index_rejected(self):
+        # 2^60 steps of 1 Hz: the float rule would pass any step there
+        with pytest.raises(GridError, match="multiple"):
+            SpectrumData(freq_hz=np.array([0.0, 1.0, 2.0**60]), psd=np.ones(3), n_avg=1)
 
     @pytest.mark.parametrize("center_hz", [1.06e6, 1.2e6, 3e6])
     def test_synthetic_grid_above_1_mhz_accepted(self, center_hz):
@@ -111,6 +130,25 @@ class TestSpectrumData:
         off, on = fit_pair_two_stage(pair)
         assert off.converged and on.converged
         assert abs(on.params["s"] - 0.53) < 4 * on.sigmas["s"] < 0.01
+
+    @pytest.mark.parametrize("center_hz", ["1.2e6", "3e6"])
+    def test_synth_then_fit_above_1_mhz(self, tmp_path, center_hz):
+        text = PAPER_CONFIG.read_text().replace(
+            "[experiment]\n", f"[experiment]\ncenter_hz = {center_hz}\n"
+        )
+        config = tmp_path / "paper.ini"
+        config.write_text(text)
+        synth, fits = tmp_path / "synth", tmp_path / "fits"
+        args = ["synth", "--config", str(config), "--out-dir", str(synth), "--seed", "7"]
+        assert cli.main(args) == 0
+        assert SpectrumData.from_csv(synth / "drive_on.csv").freq_hz[0] > 1e6
+        args = ["fit", "--off", str(synth / "drive_off.csv"),
+                "--on", str(synth / "drive_on.csv"), "--out-dir", str(fits)]
+        assert cli.main(args) == 0
+        off_fit = json.loads((fits / "fit_off.json").read_text())
+        on_fit = json.loads((fits / "fit_on.json").read_text())
+        assert off_fit["converged"] and on_fit["converged"]
+        assert abs(on_fit["params"]["s"] - 0.53) < 0.08
 
     def test_gap_off_the_lattice_rejected(self):
         with pytest.raises(GridError, match="multiple"):

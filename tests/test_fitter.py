@@ -290,7 +290,7 @@ class TestBoundarySigma:
 class TestInitHint:
     def test_hinted_start_reaches_the_same_fit(self):
         (_, _), (on_data, _), _ = noiseless_pair(truth_for(0.53))
-        hint = {"center_1_hz": CENTER_HZ - 1.1e3, "center_2_hz": CENTER_HZ + 1.1e3, "s": 0.3}
+        hint = {"center_1_hz": CENTER_HZ - 1.1e3, "center_2_hz": CENTER_HZ + 1.1e3}
         hinted = fit_double_pair(on_data, TWO_PI * 100.0, init_hint=hint)
         assert hinted.params["s"] == pytest.approx(0.53, rel=1e-6)
 
