@@ -58,37 +58,18 @@ _RATE_FIELDS = (
 )
 
 
-def _out_dir(args) -> Path:
-    if args.out_dir:
-        base = Path(args.out_dir)
-    else:
-        base = Path(os.environ.get("SQZBAND_OUT_DIR", "sqzband_out"))
-    base.mkdir(parents=True, exist_ok=True)
-    return base
-
-
-def _manifest(args, cfg: RunConfig | None, command: str) -> RunManifest:
-    argv = list(getattr(args, "_argv", []))
-    return RunManifest(
-        command=command,
-        config_snapshot=cfg.snapshot() if cfg else {},
-        root_seed=getattr(args, "seed", None),
-        tool_version=__version__,
-        arguments={"argv": argv},
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
-
-
-def _snapshot_ini(cfg: RunConfig, out: Path, manifest: RunManifest) -> Path:
-    lines = []
-    for section, items in cfg.snapshot().items():
-        lines.append(f"[{section}]")
-        lines.extend(f"{key} = {value}" for key, value in items.items())
-        lines.append("")
-    path = out / "config_snapshot.ini"
-    path.write_text("\n".join(lines))
-    manifest.record(path)
-    return path
+def _record_run(cfg: RunConfig | None, out: Path, manifest: RunManifest) -> None:
+    """config_snapshot.ini (for commands with a config), then manifest.json."""
+    if cfg:
+        lines = []
+        for section, items in cfg.snapshot().items():
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {value}" for key, value in items.items())
+            lines.append("")
+        path = out / "config_snapshot.ini"
+        path.write_text("\n".join(lines))
+        manifest.record(path)
+    manifest.write(out / "manifest.json")
 
 
 def _truth_from_config(cfg: RunConfig, *, bias: bool = False) -> ExperimentTruth:
@@ -129,10 +110,7 @@ def _rates_payload(rates: DerivedRates) -> dict:
     return payload
 
 
-def cmd_rates(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "rates")
+def cmd_rates(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     rates = derive_all(cfg.params, cfg.pump)
     payload = _rates_payload(rates)
     print(f"{'quantity':<22}{'value':>18}")
@@ -141,33 +119,30 @@ def cmd_rates(args) -> int:
     print(f"{'squeezing s (folded)':<22}{rates.s_folded:>18.6g}")
     print(f"{'occupancy n_bar':<22}{rates.n_bar:>18.6g}")
     manifest.record(write_json(out / "rates.json", payload))
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
-    return 0
 
 
 def _model_rates_from_args(args, cfg: RunConfig) -> tuple[DerivedRates, float]:
-    """(rates, n_bar) either from explicit model values or from the pump."""
-    if args.n_bar is not None or args.s is not None:
-        gamma_eff_hz = args.gamma_eff_hz or cfg.experiment.gamma_eff_hz
-        s = args.s if args.s is not None else cfg.experiment.s
-        n_bar = args.n_bar if args.n_bar is not None else cfg.experiment.n_bar
-        rates = DerivedRates.from_effective(
-            TWO_PI * gamma_eff_hz,
-            s,
-            phi=math.radians(args.phi_deg),
-            omega_m=TWO_PI * (args.center_hz or cfg.experiment.center_hz),
-            n_bar=n_bar,
-        )
-        return rates, n_bar
-    rates = derive_all(cfg.params, cfg.pump)
-    return rates, rates.n_bar
+    """(rates, n_bar) from the model flags, unset ones from [experiment], or,
+    when no model flag is given, from the pump."""
+    names = ("n_bar", "s", "gamma_eff_hz", "phi_deg", "center_hz")
+    given = {name: getattr(args, name) for name in names}
+    if all(value is None for value in given.values()):
+        rates = derive_all(cfg.params, cfg.pump)
+        return rates, rates.n_bar
+    n_bar, s, gamma_eff_hz, phi_deg, center_hz = (
+        getattr(cfg.experiment, name) if value is None else value for name, value in given.items()
+    )
+    rates = DerivedRates.from_effective(
+        TWO_PI * gamma_eff_hz,
+        s,
+        phi=math.radians(phi_deg),
+        omega_m=TWO_PI * center_hz,
+        n_bar=n_bar,
+    )
+    return rates, n_bar
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "spectrum")
+def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     rates, n_bar = _model_rates_from_args(args, cfg)
 
     half = args.halfwidth_hz or 8 * rates.gamma_eff / TWO_PI
@@ -263,15 +238,9 @@ def cmd_spectrum(args) -> int:
         f"R+ = {ratios.r_plus:.6g}, R- = {ratios.r_minus:.6g}, "
         f"squeezed = {squeezed}"
     )
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
-    return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "synth")
+def cmd_synth(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     if args.level == "physical":
         pair = make_onoff_pair(cfg.params, cfg.pump, cfg.detection, args.seed)
     else:
@@ -291,19 +260,13 @@ def cmd_synth(args) -> int:
         manifest.record(path)
     fitted = np.count_nonzero(pair.drive_on.included())
     print(f"wrote drive_on/drive_off spectra ({fitted} fitted bins, the two sideband bands)")
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
-    return 0
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    manifest = _manifest(args, None, "fit")
+def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
     off = SpectrumData.from_csv(args.off)
     off_result = fit_single_pair(off, ratio_correction=args.ratio_correction)
     manifest.record(write_json(out / "fit_off.json", off_result.to_dict()))
     if not off_result.converged:
-        manifest.write(out / "manifest.json")
         raise FitFailureError("drive-off fit did not converge")
     print(
         f"off: gamma_eff = {off_result.params['gamma_eff_hz']:.4g} Hz, "
@@ -318,14 +281,11 @@ def cmd_fit(args) -> int:
         )
         manifest.record(write_json(out / "fit_on.json", on_result.to_dict()))
         if not on_result.converged:
-            manifest.write(out / "manifest.json")
             raise FitFailureError("drive-on fit did not converge")
         print(
             f"on:  s = {on_result.params['s']:.4g}, "
             f"R+ = {on_result.ratios.r_plus:.5g}, R- = {on_result.ratios.r_minus:.5g}"
         )
-    manifest.write(out / "manifest.json")
-    return 0
 
 
 def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[dict]]:
@@ -422,10 +382,7 @@ def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     return ["gamma_eff_target_hz"], rows
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "sweep")
+def cmd_sweep(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     axis_cols, rows = _sweep_rows(cfg)
     names = list(axis_cols) + ["stable"]
     for row in rows:
@@ -455,9 +412,6 @@ def cmd_sweep(args) -> int:
             )
     stable_count = sum(1 for row in rows if row.get("stable"))
     print(f"sweep {cfg.sweep.axis}: {stable_count}/{len(rows)} stable points")
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
-    return 0
 
 
 def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
@@ -494,10 +448,7 @@ def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
     return cols
 
 
-def cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "experiment")
+def cmd_experiment(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     truth = _truth_from_config(cfg)
     n_repeats = args.n_repeats or cfg.experiment.n_repeats
     results = recovery_campaign(truth, n_repeats, args.seed, n_jobs=cfg.experiment.n_jobs)
@@ -550,15 +501,9 @@ def cmd_experiment(args) -> int:
         f"recovered s = {summary['s_mean']:.4f} +/- {summary['s_std_ensemble']:.4f} "
         f"(truth {truth.s}), bias {summary['s_bias']:+.4f}"
     )
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
-    return 0
 
 
-def cmd_bias(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    manifest = _manifest(args, cfg, "bias")
+def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     truth = _truth_from_config(cfg, bias=True)
     n_trials = args.n_trials or cfg.bias.n_trials
     report = bias_study(truth, n_trials, args.seed, n_jobs=cfg.bias.n_jobs)
@@ -574,11 +519,8 @@ def cmd_bias(args) -> int:
         f"bias study: mean_s = {report.mean_s:.4f}, std_s = {report.std_s:.4f}, "
         f"skewness = {report.skewness_s:.3f}, failed = {report.n_failed}"
     )
-    _snapshot_ini(cfg, out, manifest)
-    manifest.write(out / "manifest.json")
     if not report.valid:
         raise FitFailureError("more than 5% of bias-study trials failed to converge")
-    return 0
 
 
 def cmd_rerun(args) -> int:
@@ -605,9 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--seed", type=int, default=1234, help="root seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=1234, help="root seed")
         p.add_argument("--out-dir", default=None, help="output directory")
 
     p = sub.add_parser("rates", help="derived rates and stability flags")
@@ -620,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bar", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--gamma-eff-hz", type=float, default=None)
-    p.add_argument("--phi-deg", type=float, default=0.0)
+    p.add_argument("--phi-deg", type=float, default=None)
     p.add_argument("--center-hz", type=float, default=None)
     p.add_argument("--halfwidth-hz", type=float, default=None)
     p.add_argument("--points", type=int, default=2001)
@@ -628,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("synth", help="synthetic drive-on/off spectra")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--level", choices=("model", "physical"), default="model")
     p.set_defaults(func=cmd_synth)
 
@@ -645,20 +588,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("experiment", help="synth + fit recovery campaign")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n-repeats", type=int, default=None)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("bias", help="fitted-s bias study at s = 0 truth")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n-trials", type=int, default=None)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("manifest", help="path to manifest.json")
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_rerun)
     return parser
+
+
+def _run(args, argv) -> int:
+    """The frame of every command but rerun: load the config, run the command
+    into the output directory, then record the config snapshot and the manifest
+    (also when a fit-failure threshold stops the command)."""
+    cfg = load_config(args.config) if "config" in vars(args) else None
+    out = Path(args.out_dir or os.environ.get("SQZBAND_OUT_DIR", "sqzband_out"))
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
+        command=args.command,
+        config_snapshot=cfg.snapshot() if cfg else {},
+        root_seed=getattr(args, "seed", None),
+        tool_version=__version__,
+        arguments={"argv": list(argv)},
+        started_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    )
+    try:
+        args.func(args, cfg, out, manifest)
+    except FitFailureError:
+        _record_run(cfg, out, manifest)
+        raise
+    _record_run(cfg, out, manifest)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -666,9 +632,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = list(argv)
+    if args.command == "spectrum" and args.log_y and args.format != "svg":
+        parser.error("--log-y applies to the plot: add --format svg")
     try:
-        return args.func(args)
+        return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,14 +4,17 @@ Physics lives in [cavity], [mechanics], [pump] and [bath]; frequencies are
 given in Hz, temperatures in K, pump amplitudes as ``magnitude, phase_deg``
 pairs.  This module is the single place where Hz values are converted to
 angular rates.  Tool sections ([detection], [experiment], [sweep], [bias])
-configure synthesis, campaigns and sweeps and are optional.
+configure synthesis, campaigns and sweeps and are optional; [detection],
+[experiment] and [bias] hold one key per field of their settings dataclass,
+whose defaults are the only defaults.  A key that no setting reads (a
+misspelled key, or any key of a misspelled section) is a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .core import PumpConfig, SystemParams
@@ -79,30 +82,27 @@ class RunConfig:
         return {section: dict(items) for section, items in self.raw.items()}
 
 
-def _get(parser, section, key, cast=float, default=None, required=False):
-    try:
-        if parser.has_option(section, key):
-            text = parser.get(section, key).strip()
-            if text:
-                return cast(text)
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-    if required:
-        raise ConfigError(f"missing required option [{section}] {key}")
-    return default
-
-
-def _parse_amplitude(text: str, where: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
+def _amplitude(text: str) -> complex:
+    """'magnitude, phase_degrees' -> complex amplitude."""
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{where}: expected 'magnitude, phase_degrees', got {text!r}")
-    try:
-        mag, deg = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"{where}: non-numeric amplitude {text!r}") from None
+        raise ValueError(f"expected 'magnitude, phase_degrees', got {text!r}")
+    mag, deg = float(parts[0]), float(parts[1])
     if mag < 0:
-        raise ConfigError(f"{where}: magnitude must be nonnegative")
+        raise ValueError("magnitude must be nonnegative")
     return mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
+
+
+def _s_table(text: str) -> tuple[tuple[float, float], ...]:
+    """'gamma_hz:s; ...' -> ((gamma_hz, s), ...)."""
+    table = []
+    for entry in text.split(";"):
+        try:
+            x, y = entry.split(":")
+            table.append((float(x), float(y)))
+        except ValueError:
+            raise ValueError(f"entry {entry!r}") from None
+    return tuple(table)
 
 
 def load_config(path) -> RunConfig:
@@ -120,79 +120,75 @@ def load_config(path) -> RunConfig:
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
 
-    omega_m_hz = _get(parser, "mechanics", "omega_m_hz", required=True)
-    gamma_m_hz = _get(parser, "mechanics", "gamma_m_hz")
-    quality = _get(parser, "mechanics", "quality_factor")
+    asked = set()  # (section, key) of every read, to reject the keys nothing reads
+
+    def _get(section, key, cast=float, default=None, required=False):
+        asked.add((section, key))
+        try:
+            if parser.has_option(section, key):
+                text = parser.get(section, key).strip()
+                if text:
+                    return cast(text)
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+        if required:
+            raise ConfigError(f"missing required option [{section}] {key}")
+        return default
+
+    def _settings(cls, section, **defaults):
+        """A `cls` read from `section`, one key per field.  An unset key takes
+        the field's default unless `defaults` overrides it; a set key is cast
+        to that default's type (int stays int, anything else reads as float)."""
+        values = {}
+        for f in fields(cls):
+            default = defaults.get(f.name, f.default)
+            cast = int if isinstance(default, int) else float
+            values[f.name] = _get(section, f.name, cast=cast, default=default)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from None
+
+    omega_m_hz = _get("mechanics", "omega_m_hz", required=True)
+    gamma_m_hz = _get("mechanics", "gamma_m_hz")
+    quality = _get("mechanics", "quality_factor")
     if gamma_m_hz is None:
         if quality is None:
             raise ConfigError("[mechanics] needs gamma_m_hz or quality_factor")
         gamma_m_hz = omega_m_hz / quality
 
-    n_th = _get(parser, "bath", "n_th")
-    temperature = _get(parser, "bath", "temperature_k")
+    n_th = _get("bath", "n_th")
+    temperature = _get("bath", "temperature_k")
     if n_th is None and temperature is None:
         raise ConfigError("[bath] needs n_th or temperature_k")
 
     try:
         params = SystemParams.from_hz(
-            kappa_hz=_get(parser, "cavity", "kappa_hz", required=True),
-            kappa_in_hz=_get(parser, "cavity", "kappa_in_hz"),
-            g0_hz=_get(parser, "cavity", "g0_hz", required=True),
+            kappa_hz=_get("cavity", "kappa_hz", required=True),
+            kappa_in_hz=_get("cavity", "kappa_in_hz"),
+            g0_hz=_get("cavity", "g0_hz", required=True),
             omega_m_hz=omega_m_hz,
             gamma_m_hz=gamma_m_hz,
-            delta_hz=_get(parser, "pump", "delta_hz", required=True),
+            delta_hz=_get("pump", "delta_hz", required=True),
             n_th=n_th,
             temperature_k=temperature,
-            n_extra=_get(parser, "bath", "n_extra", default=0.0),
+            n_extra=_get("bath", "n_extra", default=0.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     pump = PumpConfig(
-        alpha_in_minus=_parse_amplitude(
-            parser.get("pump", "alpha_in_minus", fallback="0, 0"), "[pump] alpha_in_minus"
-        ),
-        alpha_in_plus=_parse_amplitude(
-            parser.get("pump", "alpha_in_plus", fallback="0, 0"), "[pump] alpha_in_plus"
-        ),
+        alpha_in_minus=_get("pump", "alpha_in_minus", cast=_amplitude, default=0j),
+        alpha_in_plus=_get("pump", "alpha_in_plus", cast=_amplitude, default=0j),
     )
-
-    def detection_from(section: str, base: DetectionConfig | None = None) -> DetectionConfig:
-        ref = base or DetectionConfig()
-        cal = _get(parser, section, "calibration", default=None)
-        try:
-            return DetectionConfig(
-                delta_lo_hz=_get(parser, section, "delta_lo_hz", default=ref.delta_lo_hz),
-                resolution_hz=_get(parser, section, "resolution_hz", default=ref.resolution_hz),
-                band_halfwidth_hz=_get(
-                    parser, section, "band_halfwidth_hz", default=ref.band_halfwidth_hz
-                ),
-                floor=_get(parser, section, "floor", default=ref.floor),
-                snr=_get(parser, section, "snr", default=ref.snr),
-                calibration=cal,
-                n_avg=_get(parser, section, "n_avg", cast=int, default=ref.n_avg),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{section}]: {exc}") from None
-
-    detection = detection_from("detection")
-
-    experiment = ExperimentSettings(
-        n_bar=_get(parser, "experiment", "n_bar", default=5.8),
-        s=_get(parser, "experiment", "s", default=0.53),
-        gamma_eff_hz=_get(parser, "experiment", "gamma_eff_hz", default=100.0),
-        phi_deg=_get(parser, "experiment", "phi_deg", default=0.0),
-        center_hz=_get(parser, "experiment", "center_hz", default=omega_m_hz),
-        n_repeats=_get(parser, "experiment", "n_repeats", cast=int, default=100),
-        n_jobs=_get(parser, "experiment", "n_jobs", cast=int, default=1),
-    )
-
-    bias = BiasSettings(
-        n_trials=_get(parser, "bias", "n_trials", cast=int, default=6000),
-        n_bar=_get(parser, "bias", "n_bar", default=experiment.n_bar),
-        gamma_eff_hz=_get(parser, "bias", "gamma_eff_hz", default=experiment.gamma_eff_hz),
-        center_hz=_get(parser, "bias", "center_hz", default=omega_m_hz),
-        n_jobs=_get(parser, "bias", "n_jobs", cast=int, default=1),
+    detection = _settings(DetectionConfig, "detection")
+    experiment = _settings(ExperimentSettings, "experiment", center_hz=omega_m_hz)
+    bias = _settings(
+        BiasSettings,
+        "bias",
+        n_bar=experiment.n_bar,
+        gamma_eff_hz=experiment.gamma_eff_hz,
+        center_hz=omega_m_hz,
     )
     # Artifact defaults for the artificial-spectrum study: the sideband
     # spacing is narrowed to keep 6000 trials inside the runtime budget at
@@ -200,35 +196,32 @@ def load_config(path) -> RunConfig:
     # fitted-s moments land on the reported artificial-study precision
     # (the noise level of those spectra is not published; the protocol's
     # n_avg = 10 reproduces the experimental-ensemble scatter instead).
-    bias_base = DetectionConfig(delta_lo_hz=1.1e3, n_avg=1200)
-    bias_detection = (
-        detection_from("bias", base=bias_base) if parser.has_section("bias") else bias_base
-    )
+    bias_detection = _settings(DetectionConfig, "bias", delta_lo_hz=1.1e3, n_avg=1200)
 
     sweep = None
     if parser.has_section("sweep"):
         held = {}
         for key in ("n_bar", "gamma_eff_hz"):
-            value = _get(parser, "sweep", key)
+            value = _get("sweep", key)
             if value is not None:
                 held[key] = value
-        table_text = parser.get("sweep", "s_table", fallback="").strip()
-        s_table = []
-        if table_text:
-            for entry in table_text.split(";"):
-                try:
-                    x, y = entry.split(":")
-                    s_table.append((float(x), float(y)))
-                except ValueError:
-                    raise ConfigError(f"[sweep] s_table entry {entry!r}") from None
         sweep = SweepSettings(
-            axis=parser.get("sweep", "axis", fallback="detuning_delta").strip(),
-            start=_get(parser, "sweep", "start", required=True),
-            stop=_get(parser, "sweep", "stop", required=True),
-            n_points=_get(parser, "sweep", "n_points", cast=int, default=21),
+            axis=_get("sweep", "axis", cast=str, default="detuning_delta"),
+            start=_get("sweep", "start", required=True),
+            stop=_get("sweep", "stop", required=True),
+            n_points=_get("sweep", "n_points", cast=int, default=21),
             held=held,
-            s_table=tuple(s_table),
+            s_table=_get("sweep", "s_table", cast=_s_table, default=()),
         )
+
+    unread = [
+        f"[{name}] {key}"
+        for name in parser.sections()
+        for key in parser[name]
+        if (name, key) not in asked
+    ]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not a key sqzband reads")
 
     raw = {name: dict(parser.items(name)) for name in parser.sections()}
     return RunConfig(

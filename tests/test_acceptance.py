@@ -249,8 +249,6 @@ def test_criterion_10_determinism(tmp_path, paper_config_path):
                         str(paper_config_path),
                         "--out-dir",
                         str(base / "sweep"),
-                        "--seed",
-                        "99",
                         "--format",
                         "svg",
                     ]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, load_strict_json, load_table
+from conftest import REPO_ROOT, TWO_PI, load_strict_json, load_table
 from sqzband import cli
 from sqzband.config import load_config
 from sqzband.core import derive_all
@@ -74,6 +75,45 @@ class TestLoadConfig:
         text = MINIMAL.replace("alpha_in_plus = 6.4957e5, 0.0", "alpha_in_plus = 2.0, 90.0")
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.pump.alpha_in_plus == pytest.approx(2j, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("cavity", "kapa_hz"),
+            ("mechanics", "omega_hz"),
+            ("pump", "alpha_minus"),
+            ("bath", "n_xtra"),
+            ("detection", "n_avgs"),
+            ("experiment", "n_repeat"),
+            ("bias", "n_trial"),
+            ("sweep", "npoints"),
+            ("experiments", "n_bar"),
+        ],
+    )
+    def test_unread_key_rejected(self, tmp_path, paper_config_path, section, key):
+        # a misspelled key would otherwise leave its setting at the default;
+        # a misspelled section shows through its keys
+        text = paper_config_path.read_text()
+        if section == "experiments":
+            text = text.replace("[experiment]\n", "[experiments]\n")
+        else:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 5\n")
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+            load_config(path)
+        assert cli.main(["rates", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_shipped_examples_load(self, tmp_path):
+        # every bundled config and the README's Configuration example
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme[readme.index("## Configuration") :]
+        start = section.index("```ini\n") + len("```ini\n")
+        example = section[start : section.index("```", start)]
+        paths = sorted((REPO_ROOT / "configs").glob("*.ini"))
+        assert paths and "[cavity]" in example
+        for path in paths:
+            load_config(path)
+        load_config(write_config(tmp_path, example))
 
 
 class TestRatesCommand:
@@ -173,6 +213,31 @@ class TestSpectrumCommand:
         text = (out / "sidebands.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma-eff-hz", "150"), ("--phi-deg", "30"), ("--center-hz", "531e3")]
+    )
+    def test_any_model_flag_selects_the_model(self, tmp_path, paper_config_path, flag, value):
+        # one model flag is enough; the other model values come from [experiment]
+        out = tmp_path / "model"
+        args = ["spectrum", "--config", str(paper_config_path), "--out-dir", str(out)]
+        assert cli.main(args + [flag, value]) == 0
+        info = json.loads((out / "model.json").read_text())
+        assert info["n_bar"] == 5.8 and info["s"] == pytest.approx(0.53, rel=1e-12)
+        gamma_eff_hz = 150.0 if flag == "--gamma-eff-hz" else 100.0
+        assert info["gamma_eff_hz"] == pytest.approx(gamma_eff_hz, rel=1e-12)
+        freq = load_table(out / "composite.csv")["frequency_hz"]
+        center_hz = 531e3 if flag == "--center-hz" else 530e3
+        assert (freq[0] + freq[-1]) / 2 == pytest.approx(center_hz, rel=1e-12)
+
+    def test_log_y_needs_the_plot(self, tmp_path, paper_config_path):
+        args = ["spectrum", "--config", str(paper_config_path), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--log-y"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "manifest.json").exists()
+        assert cli.main(args + ["--log-y", "--format", "svg"]) == 0
+        assert "log10(psd)" in (tmp_path / "sidebands.svg").read_text()
+
 
 class TestSynthFitFlow:
     def test_synth_then_fit(self, tmp_path, paper_config_path):
@@ -253,6 +318,8 @@ class TestSynthFitFlow:
             # R0 = inf and NaN sigmas are written as null: strict JSON
             result = load_strict_json(tmp_path / "fits" / "fit_off.json")
             assert result["params"]["r0"] is None
+            manifest = json.loads((tmp_path / "fits" / "manifest.json").read_text())
+            assert manifest["outputs"] == [str(tmp_path / "fits" / "fit_off.json")]
 
     @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.ini"), ("--seed", "99")])
     def test_fit_rejects_removed_options(self, tmp_path, flag, value):
@@ -482,6 +549,11 @@ class TestBiasCommand:
             ]
         )
         assert code == 4
+        # the failed study's outputs stay on record
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        names = sorted(Path(path).name for path in manifest["outputs"])
+        assert names == ["bias_histogram.csv", "bias_report.json", "config_snapshot.ini"]
+        assert (tmp_path / "x" / "config_snapshot.ini").exists()
 
 
 class TestRerun:
@@ -518,6 +590,50 @@ class TestRerun:
         assert cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(second)]) == 0
         assert (second / "sweep.svg").exists()
         assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [["rates"]],
+            [["spectrum"]],
+            [
+                ["synth", "--seed", "5"],
+                ["fit", "--off", "{0}/drive_off.csv", "--on", "{0}/drive_on.csv"],
+            ],
+            [["sweep"]],
+            [["experiment", "--n-repeats", "4"]],
+            [["bias", "--n-trials", "100"]],
+        ],
+        ids=["rates", "spectrum", "synth-fit", "sweep", "experiment", "bias"],
+    )
+    def test_replay_of_every_command(self, tmp_path, paper_config_path, runs):
+        # each replay rewrites the same files byte for byte, and lists the same outputs
+        firsts = []
+        for k, run in enumerate(runs):
+            first, second = tmp_path / f"first{k}", tmp_path / f"second{k}"
+            argv = [arg.format(*firsts) for arg in run] + ["--out-dir", str(first)]
+            if run[0] != "fit":
+                argv += ["--config", str(paper_config_path)]
+            assert cli.main(argv) == 0
+            assert cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(second)]) == 0
+            manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, second)]
+            names = [sorted(Path(path).name for path in m["outputs"]) for m in manifests]
+            assert names[0] == names[1] and names[0]
+            for name in names[0]:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+            seeded = run[0] in ("synth", "experiment", "bias")
+            assert (manifests[0]["root_seed"] is not None) == seeded
+            firsts.append(first)
+
+
+class TestSeedOption:
+    @pytest.mark.parametrize("command", ["rates", "spectrum", "sweep"])
+    def test_rejected_where_nothing_is_drawn(self, tmp_path, paper_config_path, command):
+        # only synth, experiment and bias draw random numbers
+        args = [command, "--config", str(paper_config_path), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--seed", "99"])
+        assert exc.value.code == 2
 
 
 class TestFormatOption:
