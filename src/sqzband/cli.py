@@ -24,13 +24,7 @@ from .config import RunConfig, load_config
 from .core import TWO_PI, DerivedRates, derive_all
 from .data import SpectrumData
 from .errors import ConfigError, FitFailureError, SqzbandError, StabilityError
-from .fitter import (
-    ExperimentTruth,
-    bias_study,
-    fit_double_pair,
-    fit_single_pair,
-    recovery_campaign,
-)
+from .fitter import ExperimentTruth, bias_study, fit_pair_two_stage, recovery_campaign
 from .io import RunManifest, write_csv, write_json
 from .lineshape import (
     antistokes_spectrum,
@@ -145,7 +139,7 @@ def _model_rates_from_args(args, cfg: RunConfig) -> tuple[DerivedRates, float]:
 def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     rates, n_bar = _model_rates_from_args(args, cfg)
 
-    half = args.halfwidth_hz or 8 * rates.gamma_eff / TWO_PI
+    half = 8 * rates.gamma_eff / TWO_PI if args.halfwidth_hz is None else args.halfwidth_hz
     offsets_hz = np.linspace(-half, half, args.points)
     grid = TWO_PI * offsets_hz
     stokes = stokes_spectrum(rates, n_bar, grid)
@@ -264,7 +258,8 @@ def cmd_synth(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 
 def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
     off = SpectrumData.from_csv(args.off)
-    off_result = fit_single_pair(off, ratio_correction=args.ratio_correction)
+    on = SpectrumData.from_csv(args.on) if args.on else None
+    off_result, on_result = fit_pair_two_stage(off, on, ratio_correction=args.ratio_correction)
     manifest.record(write_json(out / "fit_off.json", off_result.to_dict()))
     if not off_result.converged:
         raise FitFailureError("drive-off fit did not converge")
@@ -272,13 +267,7 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
         f"off: gamma_eff = {off_result.params['gamma_eff_hz']:.4g} Hz, "
         f"R0 = {off_result.params['r0']:.5g}, n_bar = {off_result.n_bar_inferred:.4g}"
     )
-    if args.on:
-        on = SpectrumData.from_csv(args.on)
-        on_result = fit_double_pair(
-            on,
-            TWO_PI * off_result.params["gamma_eff_hz"],
-            ratio_correction=args.ratio_correction,
-        )
+    if on_result is not None:
         manifest.record(write_json(out / "fit_on.json", on_result.to_dict()))
         if not on_result.converged:
             raise FitFailureError("drive-on fit did not converge")
@@ -423,7 +412,7 @@ def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
     data = pair.drive_on
     cal = truth.detection.resolve_calibration(rates_off, truth.n_bar)
     grid = TWO_PI * data.freq_hz
-    _, curve = heterodyne_composite(
+    model, curve = heterodyne_composite(
         rates_on, truth.n_bar, truth.detection.delta_lo, cal, truth.detection.floor, grid
     )
     cols = {
@@ -432,39 +421,19 @@ def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
         "mask": data.mask.astype(int),
         "model_total": curve,
     }
-    centers = (
-        rates_on.omega_m + truth.detection.delta_lo,
-        rates_on.omega_m - truth.detection.delta_lo,
-    )
-    for label, center, stokes in (
-        ("stokes", centers[0], True),
-        ("antistokes", centers[1], False),
-    ):
-        for comp, kind in zip(
-            sideband_components(rates_on, truth.n_bar, stokes=stokes, center=center),
-            ("narrow", "broad"),
-        ):
-            cols[f"{label}_{kind}"] = truth.detection.floor + cal * comp.psd(grid)
+    labels = ("stokes_narrow", "stokes_broad", "antistokes_narrow", "antistokes_broad")
+    for label, comp in zip(labels, model.components):
+        cols[label] = model.floor + model.calibration * comp.psd(grid)
     return cols
 
 
 def cmd_experiment(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     truth = _truth_from_config(cfg)
-    n_repeats = args.n_repeats or cfg.experiment.n_repeats
-    results = recovery_campaign(truth, n_repeats, args.seed, n_jobs=cfg.experiment.n_jobs)
-    columns = {
-        key: [r[key] for r in results]
-        for key in (
-            "index",
-            "s",
-            "s_sigma_fit",
-            "gamma_eff_hz",
-            "r0",
-            "r_plus",
-            "r_minus",
-            "n_bar",
-        )
-    }
+    settings = cfg.experiment
+    if args.n_repeats is not None:
+        settings = replace(settings, n_repeats=args.n_repeats)
+    results = recovery_campaign(truth, settings.n_repeats, args.seed, n_jobs=settings.n_jobs)
+    columns = {key: [r[key] for r in results] for key in results[0]}
     manifest.record(write_csv(out / "campaign.csv", columns))
     s_values = np.array(columns["s"])
     gamma_values = np.array(columns["gamma_eff_hz"])
@@ -476,7 +445,7 @@ def cmd_experiment(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> No
             "gamma_eff_hz": truth.gamma_eff / TWO_PI,
             "n_bar": truth.n_bar,
         },
-        "n_repeats": n_repeats,
+        "n_repeats": settings.n_repeats,
         "n_recovered": len(results),
         "s_mean": float(s_values.mean()),
         "s_std_ensemble": float(s_values.std(ddof=1)),
@@ -505,8 +474,10 @@ def cmd_experiment(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> No
 
 def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     truth = _truth_from_config(cfg, bias=True)
-    n_trials = args.n_trials or cfg.bias.n_trials
-    report = bias_study(truth, n_trials, args.seed, n_jobs=cfg.bias.n_jobs)
+    settings = cfg.bias
+    if args.n_trials is not None:
+        settings = replace(settings, n_trials=args.n_trials)
+    report = bias_study(truth, settings.n_trials, args.seed, n_jobs=settings.n_jobs)
     manifest.record(write_json(out / "bias_report.json", report.to_dict()))
     centers = 0.5 * (report.hist_edges[:-1] + report.hist_edges[1:])
     manifest.record(
@@ -632,8 +603,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "spectrum" and args.log_y and args.format != "svg":
-        parser.error("--log-y applies to the plot: add --format svg")
+    if args.command == "spectrum":
+        if args.log_y and args.format != "svg":
+            parser.error("--log-y applies to the plot: add --format svg")
+        if args.points < 2:
+            parser.error("--points must be at least 2")
+        if args.halfwidth_hz is not None and not args.halfwidth_hz > 0:
+            parser.error("--halfwidth-hz must be positive")
     try:
         return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
     except ConfigError as exc:

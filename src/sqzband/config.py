@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .core import PumpConfig, SystemParams
 from .errors import ConfigError
+from .fitter import MIN_BIAS_TRIALS
 from .synthesizer import DetectionConfig
 
 SWEEP_AXES = ("parametric_gain_s", "gamma_eff", "detuning_delta")
@@ -56,6 +57,10 @@ class ExperimentSettings:
     n_repeats: int = 100
     n_jobs: int = 1
 
+    def __post_init__(self):
+        if self.n_repeats < 2:
+            raise ConfigError(f"a campaign needs n_repeats >= 2, got {self.n_repeats}")
+
 
 @dataclass(frozen=True)
 class BiasSettings:
@@ -64,6 +69,12 @@ class BiasSettings:
     gamma_eff_hz: float = 100.0
     center_hz: float = 530e3
     n_jobs: int = 1
+
+    def __post_init__(self):
+        if self.n_trials < MIN_BIAS_TRIALS:
+            raise ConfigError(
+                f"a bias study needs n_trials >= {MIN_BIAS_TRIALS}, got {self.n_trials}"
+            )
 
 
 @dataclass(frozen=True)
@@ -152,9 +163,9 @@ def load_config(path) -> RunConfig:
     omega_m_hz = _get("mechanics", "omega_m_hz", required=True)
     gamma_m_hz = _get("mechanics", "gamma_m_hz")
     quality = _get("mechanics", "quality_factor")
+    if (gamma_m_hz is None) == (quality is None):
+        raise ConfigError("[mechanics] needs gamma_m_hz or quality_factor, not both")
     if gamma_m_hz is None:
-        if quality is None:
-            raise ConfigError("[mechanics] needs gamma_m_hz or quality_factor")
         gamma_m_hz = omega_m_hz / quality
 
     n_th = _get("bath", "n_th")

@@ -209,7 +209,6 @@ class OnOffPair:
     drive_on: SpectrumData
     drive_off: SpectrumData
     shared_params: SystemParams | None
-    gamma_eff_off: float  # truth width behind the off spectrum (rad/s)
 
     def __post_init__(self):
         on, off = self.drive_on, self.drive_off

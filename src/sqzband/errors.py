@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, StabilityError
 (and subclasses) -> 3, FitFailureError -> 4, any other SqzbandError
-(GridError for malformed or non-finite data) -> 1.
+(GridError for malformed or non-finite data or a singular fit basis) -> 1.
 """
 
 

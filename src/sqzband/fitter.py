@@ -1,11 +1,13 @@
 """Weighted nonlinear least-squares fits of heterodyne sideband spectra.
 
-Two-stage protocol: the drive-off spectrum is fitted with one pair of
-Lorentzians sharing a single width (-> Gamma_eff, R0, n_bar); the drive-on
-spectrum with two pairs whose widths are tied to Gamma_eff (1 -/+ s) with
-Gamma_eff frozen at the off-fit value and s the only extra shape parameter
-(-> s, R+, R-).  Weights follow the averaged-periodogram noise law
-sigma_bin = PSD_model / sqrt(n_avg), refreshed from the current model.
+Two-stage protocol (`fit_pair_two_stage`, its one implementation): the
+drive-off spectrum is fitted with one pair of Lorentzians sharing a single
+width (-> Gamma_eff, R0, n_bar); then, only if that fit converged, the
+drive-on spectrum with two pairs whose widths are tied to Gamma_eff (1 -/+ s),
+Gamma_eff frozen at the off-fit value, the centres starting at the off-fit
+centres and s the only extra shape parameter (-> s, R+, R-).  Weights follow
+the averaged-periodogram noise law sigma_bin = PSD_model / sqrt(n_avg),
+refreshed from the current model.
 Every line is the one Lorentzian kernel, `lineshape.lorentzian`, with weight
 width/2pi: unit area on the Hz grid of the data.
 
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .core import TWO_PI, DerivedRates
-from .data import OnOffPair, SpectrumData
+from .data import SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios, lorentzian
 from .lm import levenberg_marquardt
@@ -42,6 +44,7 @@ from .seeding import task_seed
 from .synthesizer import DetectionConfig, synth_onoff_from_rates
 
 S_MAX = 0.999
+MIN_BIAS_TRIALS = 100  # fewest trials whose moments bias_study reports
 _GTOL = 1e-10
 # cost plateaus long before 1e-12 when s is pinned at its lower bound; 1e-9
 # stops the boundary walk ~3x earlier at < 2e-4 shift in the estimates
@@ -244,7 +247,13 @@ class _Projection:
         norm[~live] = 1.0
         scale, keep = np.outer(norm, norm), np.outer(live, live)
         unit_gram = np.where(keep, gram / scale, np.eye(norm.size))
-        self._gram_inv = np.where(keep, np.linalg.inv(unit_gram) / scale, 0.0)
+        try:
+            inv = np.linalg.inv(unit_gram)
+        except np.linalg.LinAlgError:
+            raise GridError(
+                "singular fit basis: the spectrum cannot separate the floor and line areas"
+            ) from None
+        self._gram_inv = np.where(keep, inv / scale, 0.0)
         coef = self._gram_inv @ rhs
         self.theta = theta
         self.areas = self.model.areas(coef)
@@ -481,15 +490,22 @@ def fit_double_pair(
     )
 
 
-def fit_pair_two_stage(pair: OnOffPair, ratio_correction: float = 1.0):
-    """Off-fit then on-fit with Gamma_eff frozen; returns (off, on) results."""
-    off = fit_single_pair(pair.drive_off, ratio_correction=ratio_correction)
-    gamma_eff = off.params["gamma_eff_hz"] * TWO_PI
-    hint = {name: off.params[name] for name in ("center_1_hz", "center_2_hz")}
-    on = fit_double_pair(
-        pair.drive_on, gamma_eff, init_hint=hint, ratio_correction=ratio_correction
-    )
-    return off, on
+def fit_pair_two_stage(
+    off: SpectrumData, on: SpectrumData | None = None, ratio_correction: float = 1.0
+) -> tuple[FitResult, FitResult | None]:
+    """The two-stage protocol: (off-fit, on-fit).
+
+    `off` is always fitted.  `on` is fitted only when it is given and the
+    off-fit converged, with Gamma_eff held at the off-fit value and the
+    off-fit centres as its starting centres; otherwise the on-fit is None.
+    """
+    off_fit = fit_single_pair(off, ratio_correction=ratio_correction)
+    if on is None or not off_fit.converged:
+        return off_fit, None
+    hint = {name: off_fit.params[name] for name in ("center_1_hz", "center_2_hz")}
+    gamma_eff = off_fit.params["gamma_eff_hz"] * TWO_PI
+    on_fit = fit_double_pair(on, gamma_eff, init_hint=hint, ratio_correction=ratio_correction)
+    return off_fit, on_fit
 
 
 def _trial_fits(truth: ExperimentTruth, seed: int):
@@ -499,10 +515,10 @@ def _trial_fits(truth: ExperimentTruth, seed: int):
         rates_on, rates_off, n_bar=truth.n_bar, detection=truth.detection, seed=seed
     )
     try:
-        off, on = fit_pair_two_stage(pair)
+        off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
     except (np.linalg.LinAlgError, ValueError, GridError):
         return None
-    return (off, on) if off.converged and on.converged else None
+    return (off, on) if on is not None and on.converged else None
 
 
 def _map_trials(trial, inputs, n_jobs: int, chunksize: int) -> list:
@@ -533,8 +549,8 @@ def bias_study(
     """
     if truth.s != 0:
         raise ValueError("bias study is defined for s = 0 truth")
-    if n_trials < 100:
-        raise ValueError("need at least 100 trials for reported moments")
+    if n_trials < MIN_BIAS_TRIALS:
+        raise ValueError(f"need at least {MIN_BIAS_TRIALS} trials for reported moments")
     results = _map_trials(_bias_trial, _trial_inputs(truth, root_seed, n_trials), n_jobs, 32)
     values = np.array([r for r in results if r is not None], dtype=float)
     n_failed = n_trials - values.size

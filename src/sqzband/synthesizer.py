@@ -273,12 +273,7 @@ def synth_onoff_from_rates(
             drawn=in_band,
             meta={"drive": label, **_truth_meta(rates, n_bar, detection, cal)},
         )
-    return OnOffPair(
-        drive_on=spectra["on"],
-        drive_off=spectra["off"],
-        shared_params=params,
-        gamma_eff_off=rates_off.gamma_eff,
-    )
+    return OnOffPair(drive_on=spectra["on"], drive_off=spectra["off"], shared_params=params)
 
 
 def make_onoff_pair(

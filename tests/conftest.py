@@ -122,9 +122,4 @@ def full_grid_pair(truth, seed: int):
         rng = np.random.default_rng(task_seed(seed, idx))
         psd = mean_psd * rng.gamma(shape=det.n_avg, scale=1.0 / det.n_avg, size=freq.size)
         spectra.append(SpectrumData(freq_hz=freq, psd=psd, n_avg=det.n_avg, mask=mask))
-    return OnOffPair(
-        drive_on=spectra[0],
-        drive_off=spectra[1],
-        shared_params=None,
-        gamma_eff_off=rates_off.gamma_eff,
-    )
+    return OnOffPair(drive_on=spectra[0], drive_off=spectra[1], shared_params=None)

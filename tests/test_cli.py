@@ -14,7 +14,8 @@ from sqzband.config import load_config
 from sqzband.core import derive_all
 from sqzband.data import SpectrumData
 from sqzband.errors import ConfigError
-from sqzband.fitter import BiasStudyReport
+from sqzband.fitter import BiasStudyReport, fit_pair_two_stage
+from sqzband.io import write_json
 
 
 MINIMAL = """
@@ -55,6 +56,13 @@ class TestLoadConfig:
     def test_kappa_in_defaults_to_half(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert cfg.params.kappa_in == pytest.approx(cfg.params.kappa / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("line", ["quality_factor = 6.4e6\ngamma_m_hz = 5.0", ""])
+    def test_mechanical_width_given_once(self, tmp_path, line):
+        # quality_factor and gamma_m_hz are two ways to give one width
+        text = MINIMAL.replace("quality_factor = 6.4e6", line)
+        with pytest.raises(ConfigError, match="gamma_m_hz or quality_factor, not both"):
+            load_config(write_config(tmp_path, text))
 
     def test_missing_section_diagnostic(self, tmp_path):
         bad = MINIMAL.replace("[bath]", "[bathtub]")
@@ -278,6 +286,10 @@ class TestSynthFitFlow:
         assert abs(on_fit["params"]["s"] - 0.53) < 0.08
         off_fit = json.loads((fit_out / "fit_off.json").read_text())
         assert abs(off_fit["params"]["gamma_eff_hz"] - 100.0) < 10.0
+        # the command runs the library's two-stage protocol, byte for byte
+        for name, result in zip(("fit_off.json", "fit_on.json"), fit_pair_two_stage(off, on)):
+            expected = write_json(tmp_path / name, result.to_dict()).read_bytes()
+            assert (fit_out / name).read_bytes() == expected
 
     def test_synth_writes_fitted_bands_only(self, tmp_path, paper_config_path, capsys):
         out = tmp_path / "synth"
@@ -304,16 +316,31 @@ class TestSynthFitFlow:
         assert err.startswith("error:") and "non-finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("psd, code", [(np.ones(3000), 4), (np.ones(3), 1)])
-    def test_fit_degenerate_spectrum_exit_code(self, tmp_path, capsys, psd, code):
-        # a flat spectrum fits to no peak (not converged); 3 bins are too few
+    @pytest.mark.parametrize(
+        "psd, with_on, code, message",
+        [
+            (np.ones(3000), False, 4, "did not converge"),
+            (np.ones(3), False, 1, "smoothing kernel"),
+            (np.repeat([0.0, 1.0], 4), False, 1, "singular fit basis"),
+            (9.0 + np.arange(8), True, 1, "singular fit basis"),
+            (np.where(np.arange(400) == 200, 100.0, 1.0), True, 1, "singular fit basis"),
+        ],
+        ids=["psd0-4", "psd1-1", "step-off", "ramp-on", "spike-on"],
+    )
+    def test_fit_degenerate_spectrum_exit_code(self, tmp_path, capsys, psd, with_on, code, message):
+        # a flat spectrum fits to no peak (not converged); 3 bins are too few;
+        # a step leaves the off-fit basis singular, a ramp or a lone spike the on-fit's
         path = tmp_path / "drive_off.csv"
         freq = 529000.0 + 0.2 * np.arange(psd.size)
         SpectrumData(freq_hz=freq, psd=psd, n_avg=10).to_csv(path)
-        assert cli.main(["fit", "--off", str(path), "--out-dir", str(tmp_path / "fits")]) == code
+        args = ["fit", "--off", str(path), "--out-dir", str(tmp_path / "fits")]
+        on_args = ["--on", str(path)] if with_on else []
+        assert cli.main(args + on_args) == code
         err = capsys.readouterr().err
-        assert err.startswith("fit failure:" if code == 4 else "error:")
+        assert err.startswith("fit failure:" if code == 4 else "error:") and message in err
         assert "Traceback" not in err and "Warning" not in err
+        if with_on:  # the off-fit alone converges
+            assert cli.main(args) == 0
         if code == 4:
             # R0 = inf and NaN sigmas are written as null: strict JSON
             result = load_strict_json(tmp_path / "fits" / "fit_off.json")
@@ -646,6 +673,37 @@ class TestFormatOption:
         with pytest.raises(SystemExit) as exc:
             cli.main(args + ["--format", value])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        (["experiment", "--n-repeats", "0"], None),
+        (["experiment", "--n-repeats", "1"], None),
+        (["experiment"], ("n_repeats = 100", "n_repeats = 0")),
+        (["bias", "--n-trials", "0"], None),
+        (["bias", "--n-trials", "50"], None),
+        (["bias"], ("n_trials = 6000", "n_trials = 99")),
+        (["spectrum", "--points", "0"], None),
+        (["spectrum", "--points", "-3"], None),
+        (["spectrum", "--halfwidth-hz", "0"], None),
+        (["spectrum", "--halfwidth-hz", "-5"], None),
+    ],
+)
+def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
+    # an explicit 0 is not "unset", and a study too small for its statistics does not run
+    text = paper_config_path.read_text()
+    if edit:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    args = [*argv, "--config", str(write_config(tmp_path, text)), "--out-dir", str(tmp_path / "o")]
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -127,7 +127,7 @@ class TestSpectrumData:
         )
         rates_on, rates_off = truth.rates_pair()
         pair = synth_onoff_from_rates(rates_on, rates_off, 5.8, det, seed=task_seed(2024, 0))
-        off, on = fit_pair_two_stage(pair)
+        off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
         assert off.converged and on.converged
         assert abs(on.params["s"] - 0.53) < 4 * on.sigmas["s"] < 0.01
 
@@ -305,12 +305,12 @@ class TestOnOffPair:
     def test_grid_mismatch_rejected(self):
         a, b = spectrum(), spectrum(start=101.0)
         with pytest.raises(GridError):
-            OnOffPair(drive_on=a, drive_off=b, shared_params=None, gamma_eff_off=1.0)
+            OnOffPair(drive_on=a, drive_off=b, shared_params=None)
 
     def test_n_avg_mismatch_rejected(self):
         a, b = spectrum(n_avg=3), spectrum(n_avg=4)
         with pytest.raises(ValueError):
-            OnOffPair(drive_on=a, drive_off=b, shared_params=None, gamma_eff_off=1.0)
+            OnOffPair(drive_on=a, drive_off=b, shared_params=None)
 
 
 class TestParallelDeterminism:

@@ -148,7 +148,7 @@ class TestDoublePairFit:
             pair = synth_onoff_from_rates(
                 rates_on, rates_off, truth.n_bar, DET, seed=task_seed(31, k)
             )
-            off, on = fit_pair_two_stage(pair)
+            off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
             assert off.converged and on.converged
             values.append(on.params["s"])
         values = np.array(values)
@@ -259,7 +259,7 @@ class TestMirrorWidth:
         pair = synth_onoff_from_rates(
             rates_on, rates_off, truth.n_bar, truth.detection, seed=task_seed(2024, index)
         )
-        off, on = fit_pair_two_stage(pair)
+        off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
         assert off.converged and on.converged
         assert off.params["gamma_eff_hz"] == pytest.approx(exp.gamma_eff_hz, rel=0.05)
         assert off.params["area_1"] > 0 and off.params["area_2"] > 0
@@ -276,7 +276,7 @@ class TestBoundarySigma:
         pair = synth_onoff_from_rates(
             rates_on, rates_off, n_bar=5.8, detection=det, seed=task_seed(1234, index)
         )
-        _, on = fit_pair_two_stage(pair)
+        _, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
         assert ("s_at_lower_bound" in on.flags) == at_bound
         assert np.isfinite(on.sigmas["q"])
         if at_bound:
@@ -311,7 +311,7 @@ class TestWeightScaling:
                 pair = synth_onoff_from_rates(
                     rates_on, rates_off, truth.n_bar, det, seed=task_seed(17, k)
                 )
-                off, on = fit_pair_two_stage(pair)
+                off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
                 gammas.append(off.params["gamma_eff_hz"])
                 svals.append(on.params["s"])
             stds[n_avg] = (np.std(gammas, ddof=1), np.std(svals, ddof=1))
@@ -341,7 +341,7 @@ class TestMasking:
         pair = synth_onoff_from_rates(
             rates_on, rates_off, truth.n_bar, DET, seed=task_seed(23, 0)
         )
-        clean_off, clean_on = fit_pair_two_stage(pair)
+        clean_off, clean_on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
         sigma_s = clean_on.sigmas["s"]
 
         spike_freq = CENTER_HZ + 1.1e3 + 40.0

@@ -102,10 +102,10 @@ def test_fits_match_scipy_least_squares(monkeypatch, name):
         )
         for i in range(20)
     ]
-    ours = [fit_pair_two_stage(pair) for pair in pairs]
+    ours = [fit_pair_two_stage(pair.drive_off, pair.drive_on) for pair in pairs]
     monkeypatch.setattr(fitter, "levenberg_marquardt", scipy_lm)
     for (off, on), pair in zip(ours, pairs):
-        ref_off, ref_on = fit_pair_two_stage(pair)
+        ref_off, ref_on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
         assert off.converged and on.converged and ref_off.converged and ref_on.converged
         assert "s_at_lower_bound" not in on.flags
         assert on.params["s"] == pytest.approx(ref_on.params["s"], abs=1e-6)

@@ -255,7 +255,7 @@ class TestOnOffPair:
         )
         assert np.array_equal(pair.drive_on.freq_hz, pair.drive_off.freq_hz)
         assert pair.drive_on.n_avg == pair.drive_off.n_avg == det.n_avg
-        assert pair.gamma_eff_off == rates_on.gamma_eff
+        assert pair.drive_off.meta["truth"]["gamma_eff_hz"] == rates_on.gamma_eff / TWO_PI
         centers = 530e3 + np.array([-1.1e3, 1.1e3])
         expected_mask = band_mask(pair.drive_on.freq_hz, centers, 300.0)
         assert np.array_equal(pair.drive_on.mask, expected_mask)
@@ -279,8 +279,8 @@ class TestOnOffPair:
             assert not got.mask.any()
             assert got.freq_hz.tobytes() == ref.freq_hz[keep].tobytes()
             assert got.psd.tobytes() == ref.psd[keep].tobytes()
-        got_fits = [r.to_dict() for r in fit_pair_two_stage(pair)]
-        ref_fits = [r.to_dict() for r in fit_pair_two_stage(full)]
+        got_fits = [r.to_dict() for r in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
+        ref_fits = [r.to_dict() for r in fit_pair_two_stage(full.drive_off, full.drive_on)]
         assert repr(got_fits) == repr(ref_fits)
 
     def test_drawn_selects_one_variate_per_bin(self):
@@ -299,7 +299,8 @@ class TestOnOffPair:
         assert pair.shared_params is cfg.params
         assert pair.drive_on.n_avg == 5
         rates = derive_all(cfg.params, cfg.pump)
-        assert pair.gamma_eff_off == pytest.approx(rates.gamma_eff, rel=1e-12)
+        truth = pair.drive_off.meta["truth"]
+        assert truth["gamma_eff_hz"] == pytest.approx(rates.gamma_eff / TWO_PI, rel=1e-12)
         assert pair.drive_off.meta["truth"]["s"] == 0.0
 
     def test_parametric_tone_share_lowers_off_r0(self, paper_run_config):
