@@ -576,8 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, argv) -> int:
     """The frame of every command but rerun: load the config, run the command
-    into the output directory, then record the config snapshot and the manifest
-    (also when a fit-failure threshold stops the command)."""
+    into the output directory, then record the config snapshot and the manifest,
+    also when an error stops the command.  A command that rejects its input
+    (ConfigError, exit 2) has not run, and leaves no record."""
     cfg = load_config(args.config) if "config" in vars(args) else None
     out = Path(args.out_dir or os.environ.get("SQZBAND_OUT_DIR", "sqzband_out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -591,7 +592,9 @@ def _run(args, argv) -> int:
     )
     try:
         args.func(args, cfg, out, manifest)
-    except FitFailureError:
+    except ConfigError:
+        raise
+    except SqzbandError:
         _record_run(cfg, out, manifest)
         raise
     _record_run(cfg, out, manifest)

@@ -23,11 +23,21 @@ s enters the optimizer through a logistic transform onto (0, 0.999): the
 spectra depend only on |s| and the transform keeps the fit smooth at the
 s = 0 boundary, which is what folds the no-drive fitted-s distribution to
 small positive values.
+
+Each thread keeps one workspace of the fit's work arrays (`_Workspace`):
+the offsets, lines and solve columns of the models, the weighted rows, the
+Jacobians and their temporaries, 56 float rows or 448 B per fitted bin
+(2.7 MB at 6 002 bins).  Every later fit on the same number of bins reuses
+them, so an evaluation takes no fresh pages from the allocator.  A thread's
+fits run one after another and never nest: a fit started inside another on
+the same thread would overwrite its arrays.  Threads never share them,
+because numpy releases the interpreter lock while it writes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -148,7 +158,39 @@ class _Basis(NamedTuple):
     solve: np.ndarray  # (m, n)
 
 
-class _PairModel:
+class _Workspace(threading.local):
+    """One thread's work arrays, by name and shape; a request for another
+    number of bins drops them all.  Every array is written before it is read,
+    so no fit sees another's values."""
+
+    def __init__(self):
+        self.n_bins, self.arrays = None, {}
+
+    def get(self, name: str, *shape: int) -> np.ndarray:
+        if shape[-1] != self.n_bins:
+            self.n_bins, self.arrays = shape[-1], {}
+        key = (name, shape)
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(shape)
+        return self.arrays[key]
+
+
+_WORKSPACE = _Workspace()
+
+
+class _Model:
+    """Offsets d = f - centre and d^2, one row per centre, in workspace arrays."""
+
+    def __init__(self, n_bins: int):
+        self._d = _WORKSPACE.get("d", 2, n_bins)
+        self._d2 = _WORKSPACE.get("d2", 2, n_bins)
+
+    def _offsets(self, f, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+        d = np.subtract(f, np.array([[c1], [c2]]), out=self._d)
+        return d, np.multiply(d, d, out=self._d2)
+
+
+class _PairModel(_Model):
     """Drive-off: floor + L(c1, |g|) + L(c2, |g|), theta = (c1, c2, g).
 
     The model is even in g, so a negative-width mirror of a solution is the
@@ -157,11 +199,14 @@ class _PairModel:
 
     names = ("floor", "center_1_hz", "center_2_hz", "gamma_eff_hz", "area_1", "area_2")
 
-    @staticmethod
-    def basis(f, theta) -> _Basis:
+    def __init__(self, n_bins: int):
+        super().__init__(n_bins)
+        self._lines = _WORKSPACE.get("lines", 2, n_bins)
+
+    def basis(self, f, theta) -> _Basis:
         c1, c2, g = theta
-        d = f - np.array([[c1], [c2]])
-        lines = lorentzian(d * d, abs(g), abs(g) / TWO_PI)
+        d, d2 = self._offsets(f, c1, c2)
+        lines = lorentzian(d2, abs(g), abs(g) / TWO_PI, out=self._lines)
         return _Basis(d, lines, np.full(2, abs(g)), np.full(2, math.copysign(1.0, g)), lines)
 
     @staticmethod
@@ -169,14 +214,14 @@ class _PairModel:
         return coef
 
 
-class _TwoPairModel:
+class _TwoPairModel(_Model):
     """Drive-on: floor + a pair of Lorentzians of widths Gamma_eff (1 -/+ s) at
     each centre, theta = (c1, c2, q) with s = S_MAX expit(q); Gamma_eff frozen.
 
     As s -> 0 the narrow and broad lines of a pair coincide, so the linear
     solve uses their sum and their difference instead.  The difference is
     evaluated in closed form, free of cancellation.  Both sets of lines are
-    written into (centre, 2, n) buffers that the next call overwrites.
+    written into (centre, 2, n) workspace arrays that the next call overwrites.
     """
 
     names = ("floor", "center_1_hz", "center_2_hz", "q") + tuple(
@@ -184,9 +229,10 @@ class _TwoPairModel:
     )
 
     def __init__(self, gamma_eff_hz: float, n_bins: int):
+        super().__init__(n_bins)
         self.gamma_eff_hz = gamma_eff_hz
-        self._lines = np.empty((2, 2, n_bins))  # narrow, broad
-        self._solve = np.empty((2, 2, n_bins))  # narrow + broad, narrow - broad
+        self._lines = _WORKSPACE.get("lines", 2, 2, n_bins)  # narrow, broad
+        self._solve = _WORKSPACE.get("solve", 2, 2, n_bins)  # narrow + broad, narrow - broad
 
     def basis(self, f, theta) -> _Basis:
         c1, c2, q = theta
@@ -194,8 +240,7 @@ class _TwoPairModel:
         s = S_MAX * expit(q)
         dg_dq = g * s * expit(-q)
         gn, gb = g * (1 - s), g * (1 + s)
-        d = f - np.array([[c1], [c2]])
-        d2 = d * d
+        d, d2 = self._offsets(f, c1, c2)
         lines, solve = self._lines, self._solve
         narrow = lorentzian(d2, gn, gn / TWO_PI, out=lines[:, 0])
         broad = lorentzian(d2, gb, gb / TWO_PI, out=lines[:, 1])
@@ -219,15 +264,27 @@ class _Projection:
     """Variable projection at fixed weights: LM sees theta alone.  Kaufman's
     Jacobian is the model's theta-derivative at fixed floor and areas,
     projected off the column space of the weighted basis.  The Jacobian and
-    the solution are taken at the theta of the last residual."""
+    the solution are taken at the theta of the last residual.  The Jacobian
+    is a workspace array that the next call overwrites; the residual is fresh.
+    """
 
     def __init__(self, model, freq, psd, sigma):
-        self.model, self.freq, self.sigma = model, freq, sigma
-        self.target = psd / sigma
+        self.model, self.freq, self.psd = model, freq, psd
+        n_lines, n = len(model.names) - 4, freq.size
         # rows: the weighted solve columns (the first is the floor's), then target
-        self._rows = np.empty((len(model.names) - 2, freq.size))
-        self._rows[0] = 1.0 / sigma
-        self._rows[-1] = self.target
+        self._rows = _WORKSPACE.get("rows", n_lines + 2, n)
+        self._squares = _WORKSPACE.get("squares", n_lines, n)
+        self._per_line = _WORKSPACE.get("per_line", n_lines, n)
+        self._jac = _WORKSPACE.get("jac", 3, n)
+        self._scratch = _WORKSPACE.get("scratch", 3, n)
+        self._full_jac = _WORKSPACE.get("full_jac", len(model.names), n)
+        self.reweight(sigma)
+
+    def reweight(self, sigma):
+        """Weights 1/sigma on the same bins and model."""
+        self.sigma = sigma
+        np.divide(1.0, sigma, out=self._rows[0])
+        self.target = np.divide(self.psd, sigma, out=self._rows[-1])
 
     def residual(self, theta) -> np.ndarray:
         """Weighted residual at theta, floor and areas solved."""
@@ -257,27 +314,33 @@ class _Projection:
         coef = self._gram_inv @ rhs
         self.theta = theta
         self.areas = self.model.areas(coef)
-        return coef @ phi - self.target
+        resid = coef @ phi
+        resid -= self.target
+        return resid
 
     def _theta_jacobian(self) -> np.ndarray:
         """Weighted d(model)/d(theta) at fixed floor and areas, one row per theta.
 
         Per line, dL/dc = 4 pi d L^2 / w and dL/dw = L / w - pi L^2.
         """
-        b, areas = self._basis, self.areas[1:]
-        squares = b.lines * b.lines
-        jac = np.empty((3, squares.shape[1]))
-        per_line = (4 * np.pi * areas / b.widths)[:, None] * squares
-        jac[:2] = b.d * per_line.reshape(2, -1, jac.shape[1]).sum(axis=1)
+        b, areas, jac = self._basis, self.areas[1:], self._jac
+        squares = np.multiply(b.lines, b.lines, out=self._squares)
+        per_line = np.multiply(
+            (4 * np.pi * areas / b.widths)[:, None], squares, out=self._per_line
+        )
+        np.sum(per_line.reshape(2, -1, jac.shape[1]), axis=1, out=jac[:2])
+        jac[:2] *= b.d
         shape = areas * b.d_widths
-        jac[2] = (shape / b.widths) @ b.lines - (np.pi * shape) @ squares
-        return jac * self._rows[0]
+        np.matmul(shape / b.widths, b.lines, out=jac[2])
+        jac[2] -= np.matmul(np.pi * shape, squares, out=self._scratch[0])
+        jac *= self._rows[0]
+        return jac
 
     def jacobian(self) -> np.ndarray:
         """Kaufman's Jacobian of the residual, one row per theta."""
         jac = self._theta_jacobian()
         phi = self._rows[:-1]
-        jac -= ((jac @ phi.T) @ self._gram_inv) @ phi
+        jac -= np.matmul((jac @ phi.T) @ self._gram_inv, phi, out=self._scratch)
         return jac
 
     def solution(self, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -285,9 +348,11 @@ class _Projection:
         Jacobian over all of them, in the model's name order."""
         if theta is not self.theta:
             self.residual(theta)
-        lines = self._basis.lines * self._rows[0]
-        jac = np.vstack([self._rows[:1], self._theta_jacobian(), lines]).T
-        return np.concatenate([self.areas[:1], theta, self.areas[1:]]), jac
+        jac = self._full_jac
+        jac[0] = self._rows[0]
+        jac[1:4] = self._theta_jacobian()
+        np.multiply(self._basis.lines, self._rows[0], out=jac[4:])
+        return np.concatenate([self.areas[:1], theta, self.areas[1:]]), jac.T
 
 
 def _smooth(y: np.ndarray, width: int = 7) -> np.ndarray:
@@ -329,27 +394,26 @@ def _initial_sigma(psd: np.ndarray, n_avg: int) -> np.ndarray:
 # the LM loop rejects non-finite trials and a non-finite fit is not converged,
 # so overflow on degenerate spectra is no error
 @np.errstate(all="ignore")
-def _run_weighted_fit(model, theta0, freq, psd, n_avg, proj=None):
+def _run_weighted_fit(proj: _Projection, theta0, n_avg):
     """IRLS loop: LM passes over theta with sigma = model / sqrt(n_avg) refreshed.
 
-    `proj` may carry the first pass's projection, at the initial weights.
+    `proj` starts at the first pass's weights and is reweighted in place.
     Returns the last pass's LMResult, the parameters and sigmas by name, and
     chi^2 per degree of freedom."""
-    proj = proj or _Projection(model, freq, psd, _initial_sigma(psd, n_avg))
     tols = dict(ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
     result = levenberg_marquardt(proj, np.asarray(theta0, dtype=float), **tols)
     for _ in range(_WEIGHT_REFRESH):
         fitted = (result.resid + proj.target) * proj.sigma
-        sigma = np.maximum(fitted, _sigma_floor(psd)) / math.sqrt(n_avg)
-        proj = _Projection(model, freq, psd, sigma)
+        proj.reweight(np.maximum(fitted, _sigma_floor(proj.psd)) / math.sqrt(n_avg))
         result = levenberg_marquardt(proj, result.x, **tols)
     p, jac = proj.solution(result.x)
     fisher = jac.T @ jac
     finite = np.isfinite(fisher).all()
     sig = np.sqrt(np.clip(np.diag(np.linalg.pinv(fisher)), 0, None)) if finite else p * np.nan
     converged = result.converged and np.isfinite(p).all() and np.isfinite(sig).all()
-    chi2 = float(result.resid @ result.resid / max(result.resid.size - len(model.names), 1))
-    named = (dict(zip(model.names, map(float, values))) for values in (p, sig))
+    names = proj.model.names
+    chi2 = float(result.resid @ result.resid / max(result.resid.size - len(names), 1))
+    named = (dict(zip(names, map(float, values))) for values in (p, sig))
     return result._replace(converged=bool(converged)), *named, chi2
 
 
@@ -398,8 +462,8 @@ def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitRes
     """
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
-    theta0 = _initial_guess(freq, psd)
-    res, params, sigmas, chi2 = _run_weighted_fit(_PairModel, theta0, freq, psd, data.n_avg)
+    proj = _Projection(_PairModel(freq.size), freq, psd, _initial_sigma(psd, data.n_avg))
+    res, params, sigmas, chi2 = _run_weighted_fit(proj, _initial_guess(freq, psd), data.n_avg)
     params["gamma_eff_hz"] = abs(params["gamma_eff_hz"])
     r0 = _ratio(*_stokes_anti(params, "area_{}"), ratio_correction)
     params["r0"] = r0
@@ -455,9 +519,7 @@ def fit_double_pair(
     else:
         c1, c2, _ = _initial_guess(freq, psd)
     q0 = _scan_linear_start(proj, c1, c2)
-    res, params, sigmas, chi2 = _run_weighted_fit(
-        model, (c1, c2, q0), freq, psd, data.n_avg, proj
-    )
+    res, params, sigmas, chi2 = _run_weighted_fit(proj, (c1, c2, q0), data.n_avg)
     e = expit(params["q"])
     s_hat = float(S_MAX * e)
     params["s"] = s_hat

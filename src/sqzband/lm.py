@@ -92,7 +92,11 @@ def levenberg_marquardt(problem, x, *, ftol, xtol, gtol, max_nfev) -> LMResult:
 
     ``problem.residual(x)`` returns r(x) and ``problem.jacobian()`` the
     Jacobian, one row per parameter, at the x of the last residual.  Each
-    trial step costs one residual, an accepted one also the Jacobian.
+    trial step costs one residual, an accepted one also the Jacobian.  The
+    loop reads each Jacobian before its next call to the problem and does
+    not keep it, so the problem may return the same buffer every time.  It
+    keeps the accepted residual while it tries the next step, so each
+    residual must be an array that no later call overwrites.
 
     Converged means one of lmder's tests passed: actual and predicted
     relative reductions of the cost both <= ftol (info 1), a step bound

@@ -339,14 +339,16 @@ class TestSynthFitFlow:
         err = capsys.readouterr().err
         assert err.startswith("fit failure:" if code == 4 else "error:") and message in err
         assert "Traceback" not in err and "Warning" not in err
+        # every error leaves a record of the run, with what it wrote
+        manifest = json.loads((tmp_path / "fits" / "manifest.json").read_text())
+        written = [str(tmp_path / "fits" / "fit_off.json")] if code == 4 else []
+        assert manifest["command"] == "fit" and manifest["outputs"] == written
         if with_on:  # the off-fit alone converges
             assert cli.main(args) == 0
         if code == 4:
             # R0 = inf and NaN sigmas are written as null: strict JSON
             result = load_strict_json(tmp_path / "fits" / "fit_off.json")
             assert result["params"]["r0"] is None
-            manifest = json.loads((tmp_path / "fits" / "manifest.json").read_text())
-            assert manifest["outputs"] == [str(tmp_path / "fits" / "fit_off.json")]
 
     @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.ini"), ("--seed", "99")])
     def test_fit_rejects_removed_options(self, tmp_path, flag, value):

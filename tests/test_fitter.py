@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -473,3 +475,38 @@ class TestDegenerateSpectra:
         assert fitter._trial_fits(truth, task_seed(1, 0)) is None
         with pytest.raises(FitFailureError, match="more than half"):
             recovery_campaign(truth, n_repeats=4, root_seed=1, n_jobs=2)
+
+
+def _synth_pair(truth, index):
+    rates_on, rates_off = truth.rates_pair()
+    seed = task_seed(2024, index)
+    return synth_onoff_from_rates(rates_on, rates_off, truth.n_bar, truth.detection, seed=seed)
+
+
+def _fit_dicts(pair):
+    return [fit.to_dict() for fit in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
+
+
+class TestWorkspace:
+    def test_fit_after_another_bin_count_is_unchanged(self):
+        # the second fit on pair A runs on arrays dropped and taken afresh
+        a = _synth_pair(truth_for(0.53), 0)
+        wider = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=400.0, snr=30.0, n_avg=10)
+        b = _synth_pair(truth_for(0.53, detection=wider), 1)
+        assert a.drive_on.included().sum() != b.drive_on.included().sum()
+        first = _fit_dicts(a)
+        _fit_dicts(b)
+        assert _fit_dicts(a) == first
+
+    def test_threads_keep_their_own_arrays(self):
+        # numpy writes without the interpreter lock: shared arrays would mix fits
+        pairs = [_synth_pair(truth_for(0.53), i) for i in range(8)]
+        serial = [_fit_dicts(pair) for pair in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(_fit_dicts, pairs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
