@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,24 +116,15 @@ def cmd_rates(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 
 
 def _model_rates_from_args(args, cfg: RunConfig) -> tuple[DerivedRates, float]:
-    """(rates, n_bar) from the model flags, unset ones from [experiment], or,
-    when no model flag is given, from the pump."""
+    """(rates, n_bar) of [experiment] with the model flags given in its place,
+    or, when no model flag is given, of the pump."""
     names = ("n_bar", "s", "gamma_eff_hz", "phi_deg", "center_hz")
-    given = {name: getattr(args, name) for name in names}
-    if all(value is None for value in given.values()):
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if not given:
         rates = derive_all(cfg.params, cfg.pump)
         return rates, rates.n_bar
-    n_bar, s, gamma_eff_hz, phi_deg, center_hz = (
-        getattr(cfg.experiment, name) if value is None else value for name, value in given.items()
-    )
-    rates = DerivedRates.from_effective(
-        TWO_PI * gamma_eff_hz,
-        s,
-        phi=math.radians(phi_deg),
-        omega_m=TWO_PI * center_hz,
-        n_bar=n_bar,
-    )
-    return rates, n_bar
+    truth = _truth_from_config(replace(cfg, experiment=replace(cfg.experiment, **given)))
+    return truth.rates_pair()[0], truth.n_bar
 
 
 def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
@@ -172,7 +163,7 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
         "area_stokes": area_s,
         "area_antistokes": area_a,
         "area_difference": area_s - area_a,
-        "ratios": {"r0": ratios.r0, "r_plus": ratios.r_plus, "r_minus": ratios.r_minus},
+        "ratios": asdict(ratios),
         "squeezed_below_zero_point": squeezed,
         "squeezing_margin": margin,
         "sigma_x2": sigma_x2,
@@ -194,10 +185,7 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
         )
     )
     # absolute-frequency two-sideband composite at the detection settings
-    center_hz = rates.omega_m / TWO_PI if rates.omega_m > 0 else cfg.experiment.center_hz
-    if rates.omega_m <= 0:
-        rates = replace(rates, omega_m=TWO_PI * center_hz)
-    comp_freq = center_hz + np.linspace(
+    comp_freq = rates.omega_m / TWO_PI + np.linspace(
         -(cfg.detection.delta_lo_hz + half), cfg.detection.delta_lo_hz + half, args.points
     )
     _, comp_psd = heterodyne_composite(
@@ -277,129 +265,113 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
         )
 
 
-def _sweep_rows(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _gain_axis(cfg: RunConfig):
+    """parametric_gain_s: the closed forms at the held n_bar; |s| >= 1 is unstable."""
+    n_bar = cfg.sweep.held.get("n_bar", cfg.experiment.n_bar)
+    gamma_eff_hz = cfg.sweep.held.get("gamma_eff_hz", cfg.experiment.gamma_eff_hz)
+
+    def point(s_axis):
+        s = abs(s_axis)
+        if not s < 1:
+            return {"stable": False}
+        sigma_x2, sigma_y2, _ = quadrature_variances(n_bar, s)
+        criterion, margin = squeezing_criterion(n_bar, s)
+        return {
+            "stable": True,
+            "s": s,
+            **asdict(sideband_ratios(n_bar, s)),
+            "sigma_x2": sigma_x2,
+            "sigma_y2": sigma_y2,
+            "criterion": criterion,
+            "margin": margin,
+            "gamma_eff_hz": gamma_eff_hz,
+        }
+
+    return "s_axis", point
+
+
+def _detuning_axis(cfg: RunConfig):
+    """detuning_delta: the pump-derived rates at each mean detuning."""
+
+    def point(delta_hz):
+        rates = derive_all(replace(cfg.params, delta=TWO_PI * delta_hz), cfg.pump)
+        return {
+            "stable": True,
+            "s_signed": rates.s,
+            "s": rates.s_folded,
+            **asdict(sideband_ratios(rates.n_bar, rates.s_folded)),
+            "gamma_eff_hz": rates.gamma_eff / TWO_PI,
+            "n_bar": rates.n_bar,
+        }
+
+    return "delta_hz", point
+
+
+def _gamma_eff_axis(cfg: RunConfig):
+    """gamma_eff: the injected pump power rescaled to each target width; s is
+    the derived one unless s_table gives it at the achieved width."""
+    gamma_m = cfg.params.gamma_m
+    gamma_opt = derive_all(cfg.params, cfg.pump).gamma_opt
+    if gamma_opt <= 0:
+        raise ConfigError("gamma_eff sweep needs a cooling pump (gamma_opt > 0)")
+    table = tuple(zip(*sorted(cfg.sweep.s_table)))  # (gamma_eff_hz values, s values)
+
+    def point(target_hz):
+        target = TWO_PI * target_hz
+        if target <= gamma_m:
+            return {"stable": False, "error": "below_mechanical_width"}
+        rates = derive_all(cfg.params, cfg.pump.scaled(math.sqrt((target - gamma_m) / gamma_opt)))
+        gamma_eff_hz = rates.gamma_eff / TWO_PI
+        s = float(np.interp(gamma_eff_hz, *table)) if table else rates.s_folded
+        return {
+            "stable": True,
+            "gamma_eff_hz": gamma_eff_hz,
+            "s": s,
+            "s_derived": rates.s_folded,
+            **asdict(sideband_ratios(rates.n_bar, s)),
+            "n_bar": rates.n_bar,
+        }
+
+    return "gamma_eff_target_hz", point
+
+
+_SWEEP_AXES = {
+    "parametric_gain_s": _gain_axis,
+    "detuning_delta": _detuning_axis,
+    "gamma_eff": _gamma_eff_axis,
+}
+
+
+def _sweep_rows(cfg: RunConfig) -> list[dict]:
+    """One row per axis value: the axis column, then the point's model values,
+    or stable=False and the error when the point is unstable."""
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("config has no [sweep] section")
-    axis_values = np.linspace(sweep.start, sweep.stop, sweep.n_points)
+    column, point = _SWEEP_AXES[sweep.axis](cfg)
     rows = []
-    held_n_bar = sweep.held.get("n_bar", cfg.experiment.n_bar)
-
-    if sweep.axis == "parametric_gain_s":
-        gamma_eff_hz = sweep.held.get("gamma_eff_hz", cfg.experiment.gamma_eff_hz)
-        for s in axis_values:
-            row = {"s_axis": float(s), "stable": abs(s) < 1}
-            if row["stable"]:
-                ratios = sideband_ratios(held_n_bar, abs(s))
-                sx, sy, _ = quadrature_variances(held_n_bar, abs(s))
-                squeezed, margin = squeezing_criterion(held_n_bar, abs(s))
-                row.update(
-                    s=abs(s),
-                    r0=ratios.r0,
-                    r_plus=ratios.r_plus,
-                    r_minus=ratios.r_minus,
-                    sigma_x2=sx,
-                    sigma_y2=sy,
-                    criterion=squeezed,
-                    margin=margin,
-                    gamma_eff_hz=gamma_eff_hz,
-                )
-            rows.append(row)
-        return ["s_axis"], rows
-
-    if sweep.axis == "detuning_delta":
-        for delta_hz in axis_values:
-            params = replace(cfg.params, delta=TWO_PI * float(delta_hz))
-            row = {"delta_hz": float(delta_hz)}
-            try:
-                rates = derive_all(params, cfg.pump)
-            except StabilityError as exc:
-                row.update(stable=False, error=type(exc).__name__)
-                rows.append(row)
-                continue
-            ratios = sideband_ratios(rates.n_bar, rates.s_folded)
-            row.update(
-                stable=True,
-                s_signed=rates.s,
-                s=rates.s_folded,
-                r0=ratios.r0,
-                r_plus=ratios.r_plus,
-                r_minus=ratios.r_minus,
-                gamma_eff_hz=rates.gamma_eff / TWO_PI,
-                n_bar=rates.n_bar,
-            )
-            rows.append(row)
-        return ["delta_hz"], rows
-
-    # gamma_eff axis: rescale the injected pump power, optional s override table
-    rates0 = derive_all(cfg.params, cfg.pump)
-    gamma_opt0 = rates0.gamma_opt
-    if gamma_opt0 <= 0:
-        raise ConfigError("gamma_eff sweep needs a cooling pump (gamma_opt > 0)")
-    table = sorted(sweep.s_table)
-    for target_hz in axis_values:
-        target = TWO_PI * float(target_hz)
-        row = {"gamma_eff_target_hz": float(target_hz)}
-        if target <= cfg.params.gamma_m:
-            row.update(stable=False, error="below_mechanical_width")
-            rows.append(row)
-            continue
-        factor = math.sqrt((target - cfg.params.gamma_m) / gamma_opt0)
+    for value in np.linspace(sweep.start, sweep.stop, sweep.n_points).tolist():
+        row = {column: value}
         try:
-            rates = derive_all(cfg.params, cfg.pump.scaled(factor))
+            row.update(point(value))
         except StabilityError as exc:
             row.update(stable=False, error=type(exc).__name__)
-            rows.append(row)
-            continue
-        s_used = rates.s_folded
-        if table:
-            xs = [x for x, _ in table]
-            ys = [y for _, y in table]
-            s_used = float(np.interp(rates.gamma_eff / TWO_PI, xs, ys))
-        ratios = sideband_ratios(rates.n_bar, s_used)
-        row.update(
-            stable=True,
-            gamma_eff_hz=rates.gamma_eff / TWO_PI,
-            s=s_used,
-            s_derived=rates.s_folded,
-            r0=ratios.r0,
-            r_plus=ratios.r_plus,
-            r_minus=ratios.r_minus,
-            n_bar=rates.n_bar,
-        )
         rows.append(row)
-    return ["gamma_eff_target_hz"], rows
+    return rows
 
 
 def cmd_sweep(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
-    axis_cols, rows = _sweep_rows(cfg)
-    names = list(axis_cols) + ["stable"]
-    for row in rows:
-        for key in row:
-            if key not in names:
-                names.append(key)
+    rows = _sweep_rows(cfg)
     columns = {
-        name: [row.get(name, math.nan) if name != "error" else row.get(name, "") for row in rows]
-        for name in names
+        name: [row.get(name, "" if name == "error" else math.nan) for row in rows]
+        for name in dict.fromkeys(key for row in rows for key in row)
     }
-    csv_path = write_csv(out / "sweep.csv", columns, [f"axis={cfg.sweep.axis}"])
-    manifest.record(csv_path)
-    if args.format == "svg":
-        plot_cols = {
-            k: columns[k]
-            for k in ("s", "r0", "r_plus", "r_minus")
-            if k in columns
-        }
-        if plot_cols:
-            manifest.record(
-                write_svg(
-                    out / "sweep.svg",
-                    columns[axis_cols[0]],
-                    plot_cols,
-                    xlabel=axis_cols[0],
-                )
-            )
-    stable_count = sum(1 for row in rows if row.get("stable"))
+    axis = next(iter(columns))
+    manifest.record(write_csv(out / "sweep.csv", columns, [f"axis={cfg.sweep.axis}"]))
+    plot_cols = {k: columns[k] for k in ("s", "r0", "r_plus", "r_minus") if k in columns}
+    if args.format == "svg" and plot_cols:
+        manifest.record(write_svg(out / "sweep.svg", columns[axis], plot_cols, xlabel=axis))
+    stable_count = sum(1 for row in rows if row["stable"])
     print(f"sweep {cfg.sweep.axis}: {stable_count}/{len(rows)} stable points")
 
 

@@ -41,10 +41,21 @@ class SweepSettings:
             raise ConfigError("sweep start must be below stop")
         if self.n_points < 2:
             raise ConfigError("sweep needs at least 2 points")
+        if not self.held.get("n_bar", 0.0) >= 0:
+            raise ConfigError(f"[sweep] n_bar must be nonnegative, got {self.held['n_bar']}")
         unread = list(self.held) if self.axis != "parametric_gain_s" else []
         unread += ["s_table"] if self.s_table and self.axis != "gamma_eff" else []
         if unread:
             raise ConfigError(f"[sweep] {', '.join(unread)}: not read on the {self.axis} axis")
+
+
+def _check_truth(settings) -> None:
+    """The model truth of [experiment] or [bias]: an occupancy the sidebands can
+    have and a resonance at a positive frequency."""
+    if not settings.n_bar >= 0:
+        raise ConfigError(f"n_bar must be nonnegative, got {settings.n_bar}")
+    if not settings.center_hz > 0:
+        raise ConfigError(f"center_hz must be positive, got {settings.center_hz}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,7 @@ class ExperimentSettings:
     n_jobs: int = 1
 
     def __post_init__(self):
+        _check_truth(self)
         if self.n_repeats < 2:
             raise ConfigError(f"a campaign needs n_repeats >= 2, got {self.n_repeats}")
 
@@ -71,6 +83,7 @@ class BiasSettings:
     n_jobs: int = 1
 
     def __post_init__(self):
+        _check_truth(self)
         if self.n_trials < MIN_BIAS_TRIALS:
             raise ConfigError(
                 f"a bias study needs n_trials >= {MIN_BIAS_TRIALS}, got {self.n_trials}"
@@ -157,7 +170,7 @@ def load_config(path) -> RunConfig:
             values[f.name] = _get(section, f.name, cast=cast, default=default)
         try:
             return cls(**values)
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}]: {exc}") from None
 
     omega_m_hz = _get("mechanics", "omega_m_hz", required=True)

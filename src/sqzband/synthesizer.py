@@ -137,22 +137,20 @@ def synth_timeseries(
     seed: int,
     floor: float = 0.0,
     calibration: float = 1.0,
-    carrier_hz: float | None = None,
 ) -> EnvelopeTrace:
     """Complex heterodyne-analog record with both motional sidebands.
 
     v(t) = sqrt(cal) * 2 beta(t) cos(2 pi f_lo t) e^{2 pi i f_c t} + noise,
-    beta from the envelope SDE, f_lo = delta_lo/2pi, carrier f_c = fs/4 by
-    default and white complex noise at two-sided PSD `floor`.  Demodulating
-    at f_c -/+ f_lo recovers the envelope; the two sidebands are mutually
-    coherent, as they are for a single mechanical mode.
+    beta from the envelope SDE, f_lo = delta_lo/2pi, carrier f_c = fs/4 (so
+    fs > 4 f_lo keeps f_c + f_lo below fs/2) and white complex noise at
+    two-sided PSD `floor`.  Demodulating at f_c -/+ f_lo recovers the
+    envelope; the two sidebands are mutually coherent, as they are for a
+    single mechanical mode.
     """
     delta_lo_hz = delta_lo / TWO_PI
     if fs <= 4 * delta_lo_hz:
         raise GridError("fs must exceed 4 * delta_lo / 2pi")
-    f_c = fs / 4 if carrier_hz is None else carrier_hz
-    if f_c + delta_lo_hz >= fs / 2:
-        raise GridError("carrier + delta_lo would alias at this sample rate")
+    f_c = fs / 4
     dt = 1.0 / fs
     beta = sde_simulate(rates, n_bar, duration, dt, seed=task_seed(seed, 0))
     n = beta.samples.size

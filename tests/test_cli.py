@@ -466,6 +466,38 @@ class TestSweepCommand:
         assert rows["gamma_eff_hz"][0] == pytest.approx(rates.gamma_eff / TWO_PI, rel=1e-9)
 
     @pytest.mark.parametrize(
+        "axis, header, first_row",
+        [
+            (
+                "axis = parametric_gain_s\nstart = -1.3\nstop = 1.3\nn_points = 27",
+                "s_axis,stable,s,r0,r_plus,r_minus,sigma_x2,sigma_y2,criterion,margin,gamma_eff_hz",
+                "-1.3,0,nan,nan,nan,nan,nan,nan,nan,nan,nan",
+            ),
+            (
+                "axis = gamma_eff\nstart = 0.01\nstop = 5000\nn_points = 30",
+                "gamma_eff_target_hz,stable,error,gamma_eff_hz,s,s_derived,r0,r_plus,r_minus,n_bar",
+                "0.01,0,below_mechanical_width,nan,nan,nan,nan,nan,nan,nan",
+            ),
+        ],
+        ids=["s_above_threshold", "gamma_eff_below_gamma_m"],
+    )
+    def test_unstable_point_without_an_exception(
+        self, tmp_path, paper_config_path, axis, header, first_row
+    ):
+        # |s| >= 1 on the s axis and a target below gamma_m on the gamma_eff axis
+        # are unstable by the axis' own rule, not by a StabilityError
+        text = Path(paper_config_path).read_text()
+        text = text.replace(
+            "axis = detuning_delta\nstart = -4.0e5\nstop = 4.0e5\nn_points = 41", axis
+        )
+        path = tmp_path / "unstable.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1:3] == [header, first_row]
+
+    @pytest.mark.parametrize(
         "line", ["n_bar = 99", "gamma_eff_hz = 7", "s_table = 50:0.30; 500:0.55"]
     )
     def test_key_its_axis_never_reads_rejected(self, tmp_path, paper_config_path, line):
@@ -690,10 +722,19 @@ class TestFormatOption:
         (["spectrum", "--points", "-3"], None),
         (["spectrum", "--halfwidth-hz", "0"], None),
         (["spectrum", "--halfwidth-hz", "-5"], None),
+        (["spectrum", "--center-hz", "0"], None),
+        (["spectrum", "--center-hz", "-530000"], None),
+        (["spectrum", "--n-bar", "-0.5"], None),
+        (["synth"], ("n_bar = 5.8\ns = 0.53", "n_bar = -0.5\ns = 0.53")),
+        (["synth"], ("n_repeats = 100", "n_repeats = 100\ncenter_hz = -5e5")),
+        (["bias"], ("n_trials = 6000\nn_bar = 5.8", "n_trials = 6000\nn_bar = -0.5")),
+        (["bias"], ("n_trials = 6000", "n_trials = 6000\ncenter_hz = 0")),
+        (["sweep"], ("axis = detuning_delta", "axis = parametric_gain_s\nn_bar = -0.5")),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
-    # an explicit 0 is not "unset", and a study too small for its statistics does not run
+    # an explicit 0 is not "unset", and a study too small for its statistics does not run;
+    # neither does a negative occupancy or a resonance not at a positive frequency
     text = paper_config_path.read_text()
     if edit:
         assert edit[0] in text
