@@ -18,6 +18,13 @@ Two validation routes that fail independently of the closed forms:
   quantities are validated this way.  `welch_psd` is the one averaged-
   periodogram estimator; `synthesizer.segment_average` is its rectangular-
   window, zero-overlap case.
+
+Working memory is bounded by fixed-size chunks (`_CHUNK` samples or bins):
+`sde_simulate` draws and filters each quadrature chunk by chunk, carrying
+the filter state `zi` across chunks and writing straight into the complex
+record, so it holds one record plus one chunk; `quadrature_series` holds its
+real result plus one chunk; `propagate_spectra` solves the grid slice by
+slice into preallocated outputs.  Chunking changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .data import SpectrumData
 from .errors import GridError, ParametricInstabilityError
 
 _CONDITION_WARN_THRESHOLD = 1e6
+# samples (or grid bins) per chunk of the chunked loops below: their working
+# memory beyond the result is a few arrays of this length
+_CHUNK = 1 << 14
 
 
 class IllConditionedWarning(UserWarning):
@@ -182,23 +192,30 @@ class EnvelopeTrace:
         """Small text header, then little-endian interleaved (re, im) float64."""
         path = Path(path)
         header = f"sqzband-trace dt={self.dt!r} seed={self.seed} length={self.samples.size}\n"
-        inter = np.empty(2 * self.samples.size, dtype="<f8")
-        inter[0::2] = self.samples.real
-        inter[1::2] = self.samples.imag
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(inter.tobytes())
+            fh.write(np.ascontiguousarray(self.samples, dtype="<c16").tobytes())
 
     @classmethod
     def from_binary(cls, path) -> "EnvelopeTrace":
+        """Read a `to_binary` file back bit for bit.  A malformed header, or a
+        payload other than exactly `length` samples, raises GridError."""
         with open(path, "rb") as fh:
-            header = fh.readline().decode("ascii").split()
-            fields = dict(item.split("=") for item in header[1:])
-            raw = np.frombuffer(fh.read(), dtype="<f8")
-        samples = raw[0::2] + 1j * raw[1::2]
-        if samples.size != int(fields["length"]):
-            raise ValueError("trace length does not match header")
-        return cls(samples=samples, dt=float(fields["dt"]), seed=int(fields["seed"]))
+            header = fh.readline()
+            payload = fh.read()
+        try:
+            magic, *items = header.decode("ascii").split()
+            fields = dict(item.split("=") for item in items)
+            dt, seed, length = float(fields["dt"]), int(fields["seed"]), int(fields["length"])
+        except (ValueError, KeyError) as exc:
+            raise GridError(f"malformed trace header {header[:80]!r}") from exc
+        if magic != "sqzband-trace" or not 0 < dt < math.inf:
+            raise GridError(f"malformed trace header {header[:80]!r}")
+        if len(payload) != 16 * length:
+            raise GridError(
+                f"trace payload of {len(payload)} bytes is not the {length} samples of its header"
+            )
+        return cls(samples=np.frombuffer(payload, dtype="<c16"), dt=dt, seed=seed)
 
 
 def _contract(left: np.ndarray, right: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -222,7 +239,9 @@ def propagate_spectra(
     `TransferMatrix.inverse`) and the solution rows are contracted with the
     correlator matrix: T(-dW)[left, :] M T(+dW)[right, :]; quadrature rows are
     (e^{i th} T[0,:] + e^{-i th} T[1,:]) / 2.  Outputs are symmetrized over
-    +/- offsets (see module docstring).
+    +/- offsets (see module docstring).  The solve runs over slices of the
+    grid into preallocated outputs; the condition numbers, and the warning
+    on them, cover the whole grid.
     """
     if not abs(rates.s) < 1:
         raise ParametricInstabilityError("|s| must be < 1")
@@ -244,17 +263,24 @@ def propagate_spectra(
         minus = _contract(left_pos, right_neg, corr).real
         return 0.5 * (plus + minus)
 
-    inv_pos, inv_neg = tm.inverse(grid), tm.inverse(-grid)
-    quadratures = {}
-    for th in thetas:
-        phase = np.exp(1j * th)
-        v_pos = (phase * inv_pos[:, 0, :] + np.conj(phase) * inv_pos[:, 1, :]) / 2
-        v_neg = (phase * inv_neg[:, 0, :] + np.conj(phase) * inv_neg[:, 1, :]) / 2
-        quadratures[th] = symmetrized(v_pos, v_pos, v_neg, v_neg)
+    stokes, antistokes = np.empty(grid.size), np.empty(grid.size)
+    quadratures = {th: np.empty(grid.size) for th in thetas}
+    for lo in range(0, grid.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        inv_pos, inv_neg = tm.inverse(grid[part]), tm.inverse(-grid[part])
+        for th, quad in quadratures.items():
+            phase = np.exp(1j * th)
+            v_pos = (phase * inv_pos[:, 0, :] + np.conj(phase) * inv_pos[:, 1, :]) / 2
+            v_neg = (phase * inv_neg[:, 0, :] + np.conj(phase) * inv_neg[:, 1, :]) / 2
+            quad[part] = symmetrized(v_pos, v_pos, v_neg, v_neg)
+        stokes[part] = symmetrized(inv_pos[:, 0], inv_pos[:, 1], inv_neg[:, 0], inv_neg[:, 1])
+        antistokes[part] = symmetrized(
+            inv_pos[:, 1], inv_pos[:, 0], inv_neg[:, 1], inv_neg[:, 0]
+        )
     return PropagatedSpectra(
         grid=grid,
-        stokes=symmetrized(inv_pos[:, 0], inv_pos[:, 1], inv_neg[:, 0], inv_neg[:, 1]),
-        antistokes=symmetrized(inv_pos[:, 1], inv_pos[:, 0], inv_neg[:, 1], inv_neg[:, 0]),
+        stokes=stokes,
+        antistokes=antistokes,
         quadratures=quadratures,
         max_condition=max_cond,
     )
@@ -272,6 +298,13 @@ def sde_simulate(
     (identical arithmetic to the naive step loop, vectorized).  The chain
     starts from its discrete stationary distribution.  Deterministic per
     seed.
+
+    Each recurrence runs in chunks: the noise of a chunk is drawn into one
+    reused buffer and filtered with the state `zi` carried from the previous
+    chunk, and the result is written into the real or imaginary part of the
+    record.  The draw order is that of one whole-record draw per quadrature
+    (x0 and noise of u, then of v), so the samples are bit-identical to it,
+    and the working memory is one record plus one chunk.
     """
     from scipy.signal import lfilter  # not at module level: ~1 s of `import sqzband`
     if not abs(rates.s) < 1:
@@ -283,28 +316,44 @@ def sde_simulate(
     n = int(round(duration / dt))
     rng = np.random.default_rng(seed)
     diffusion = rates.gamma_eff * (2 * n_bar + 1) / 4  # per real quadrature
+    beta = np.empty(n, dtype=complex)
+    buf = np.empty(min(_CHUNK, n))
 
-    def ou_chain(gamma: float) -> np.ndarray:
+    def ou_chain(gamma: float, out: np.ndarray) -> None:
         a = 1.0 - gamma * dt / 2
         var_stat = diffusion * dt / (1 - a * a)
-        x0 = math.sqrt(var_stat) * rng.standard_normal()
-        noise = math.sqrt(diffusion * dt) * rng.standard_normal(n - 1)
-        rest, _ = lfilter([1.0], [1.0, -a], noise, zi=np.array([a * x0]))
-        return np.concatenate(([x0], rest))
+        out[0] = x0 = math.sqrt(var_stat) * rng.standard_normal()
+        zi = np.array([a * x0])
+        for lo in range(1, n, _CHUNK):
+            noise = buf[: min(_CHUNK, n - lo)]
+            rng.standard_normal(out=noise)
+            noise *= math.sqrt(diffusion * dt)
+            out[lo : lo + noise.size], zi = lfilter([1.0], [1.0, -a], noise, zi=zi)
 
-    u = ou_chain(rates.gamma_plus)  # squeezed quadrature, width Gamma_+
-    v = ou_chain(rates.gamma_minus)  # amplified quadrature, width Gamma_-
-    beta = np.empty(n, dtype=complex)
-    beta.real, beta.imag = u, v
-    # built in place; the scalar stays on the left, which keeps the samples
-    # bit-identical to exp(i phi/2) * (u + i v)
+    ou_chain(rates.gamma_plus, beta.real)  # squeezed quadrature, width Gamma_+
+    ou_chain(rates.gamma_minus, beta.imag)  # amplified quadrature, width Gamma_-
+    # the scalar stays on the left, which keeps the samples bit-identical to
+    # exp(i phi/2) * (u + i v)
     np.multiply(np.exp(1j * rates.phi / 2), beta, out=beta)
     return EnvelopeTrace(samples=beta, dt=dt, seed=seed)
 
 
 def quadrature_series(trace: EnvelopeTrace, theta: float) -> np.ndarray:
-    """Real quadrature X_theta(t) = Re(e^{i theta} beta(t)) of a trace."""
-    return (np.exp(1j * theta) * trace.samples).real
+    """Real quadrature X_theta(t) = Re(e^{i theta} beta(t)) of a trace.
+
+    The complex product is formed one chunk at a time, so the working memory
+    beyond the real result is one chunk.
+    """
+    samples = trace.samples
+    c = np.exp(1j * theta)
+    out = np.empty(samples.size)
+    tmp = np.empty(min(_CHUNK, samples.size), dtype=complex)
+    for lo in range(0, samples.size, _CHUNK):
+        part = tmp[: min(_CHUNK, samples.size - lo)]
+        # the same complex multiply as (c * samples).real, scalar on the left
+        np.multiply(c, samples[lo : lo + part.size], out=part)
+        out[lo : lo + part.size] = part.real
+    return out
 
 
 def welch_psd(
@@ -331,6 +380,8 @@ def welch_psd(
             raise ValueError("dt required for plain arrays")
     n = samples.size
     segment_length = int(segment_length)
+    if segment_length < 2:
+        raise GridError("segment_length must be at least 2 samples")
     if segment_length > n:
         raise GridError("segment_length exceeds trace length")
     if not 0 <= overlap_fraction < 1:

@@ -210,6 +210,8 @@ def segment_average(
         samples = np.asarray(trace)
         if dt is None:
             raise ValueError("dt required for plain arrays")
+    if not 0 < segment_seconds < math.inf:
+        raise GridError("segment_seconds must be positive and finite")
     n_per = segment_seconds / dt
     if abs(n_per - round(n_per)) > 1e-9 * n_per:
         raise GridError("segment_seconds is not an integer number of samples")

@@ -1,16 +1,18 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
-from scipy.signal import get_window
+from scipy.signal import get_window, lfilter
 
 from conftest import TWO_PI, folded_periodogram, sample_stable_rates
 from sqzband.core import DerivedRates
 from sqzband.errors import GridError, ParametricInstabilityError
 from sqzband.lineshape import antistokes_spectrum, quadrature_spectrum, stokes_spectrum
 from sqzband.oracle import (
+    _CHUNK,
     EnvelopeTrace,
     IllConditionedWarning,
     NoiseCorrelators,
@@ -20,6 +22,17 @@ from sqzband.oracle import (
     sde_simulate,
     welch_psd,
 )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, tracemalloc peak in bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestTransferMatrix:
@@ -152,6 +165,38 @@ class TestPropagateSpectra:
         assert spread_without < 1e-14 * np.max(base)
         assert spread_with > 1e-3 * np.max(base)
 
+    def test_slices_do_not_move_a_bit(self):
+        rng = np.random.default_rng(101)
+        params, _, rates = sample_stable_rates(rng)
+        corr = NoiseCorrelators.from_params(params, rates)
+        grid = np.linspace(-25, 25, 2 * _CHUNK + 101) * rates.gamma_eff
+        thetas = (0.0, 0.7)
+        whole = propagate_spectra(rates, corr, grid, thetas=thetas)
+        cut = grid.size // 2
+        halves = [propagate_spectra(rates, corr, g, thetas=thetas) for g in (grid[:cut], grid[cut:])]
+        for name in ("stokes", "antistokes"):
+            joined = np.concatenate([getattr(h, name) for h in halves])
+            assert np.array_equal(getattr(whole, name), joined)
+        for th in thetas:
+            joined = np.concatenate([h.quadratures[th] for h in halves])
+            assert np.array_equal(whole.quadratures[th], joined)
+        assert whole.max_condition == max(h.max_condition for h in halves)
+
+    def test_empty_grid(self):
+        rates = DerivedRates.from_effective(TWO_PI * 100, 0.3, n_bar=1.0)
+        corr = NoiseCorrelators.from_occupancy(rates.gamma_eff, 1.0)
+        out = propagate_spectra(rates, corr, np.array([]), thetas=(0.4,))
+        assert out.stokes.shape == out.antistokes.shape == out.quadratures[0.4].shape == (0,)
+        assert out.max_condition == 1.0
+
+    def test_peak_memory(self):
+        rates = DerivedRates.from_effective(TWO_PI * 80, 0.5, phi=1.1, n_bar=3.0)
+        corr = NoiseCorrelators.from_occupancy(rates.gamma_eff, 3.0, 200j)
+        grid = np.linspace(-27.3, 31.1, 200_000) * rates.gamma_eff
+        thetas = (-rates.phi / 2, -rates.phi / 2 + math.pi / 2)
+        _, peak = traced_peak(propagate_spectra, rates, corr, grid, thetas=thetas)
+        assert peak <= 16 * grid.nbytes
+
     def test_condition_warning_near_instability(self):
         rates = DerivedRates.from_effective(TWO_PI * 100, 1 - 1e-7, n_bar=1.0)
         corr = NoiseCorrelators.from_occupancy(rates.gamma_eff, 1.0)
@@ -198,13 +243,36 @@ class TestSdeSimulate:
 
     def test_envelope_peak_memory(self):
         rates = self.make_rates(0.5)
-        tracemalloc.start()
-        try:
-            trace = sde_simulate(rates, 1.0, duration=2.0, dt=1e-5, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * trace.samples.nbytes
+        sde_simulate(rates, 1.0, duration=0.2, dt=1e-4, seed=5)  # loads scipy.signal
+        trace, peak = traced_peak(sde_simulate, rates, 1.0, duration=2.0, dt=1e-5, seed=5)
+        assert peak <= 1.3 * trace.samples.nbytes
+
+    @staticmethod
+    def one_shot(rates, n_bar, n, dt, seed):
+        """The recurrence with one draw and one filter call per quadrature."""
+        rng = np.random.default_rng(seed)
+        diffusion = rates.gamma_eff * (2 * n_bar + 1) / 4
+
+        def chain(gamma):
+            a = 1.0 - gamma * dt / 2
+            x0 = math.sqrt(diffusion * dt / (1 - a * a)) * rng.standard_normal()
+            noise = math.sqrt(diffusion * dt) * rng.standard_normal(n - 1)
+            rest, _ = lfilter([1.0], [1.0, -a], noise, zi=np.array([a * x0]))
+            return np.concatenate(([x0], rest))
+
+        u = chain(rates.gamma_plus)
+        v = chain(rates.gamma_minus)
+        beta = np.empty(n, dtype=complex)
+        beta.real, beta.imag = u, v
+        return np.exp(1j * rates.phi / 2) * beta
+
+    @pytest.mark.parametrize("n", [_CHUNK // 2, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_chunks_do_not_move_a_bit(self, n):
+        rates = DerivedRates.from_effective(TWO_PI * 1000, 0.5, phi=0.6)
+        dt = 5e-6
+        trace = sde_simulate(rates, 1.0, duration=n * dt, dt=dt, seed=5)
+        assert trace.samples.size == n
+        assert np.array_equal(trace.samples, self.one_shot(rates, 1.0, n, dt, seed=5))
 
     def test_preconditions(self):
         rates = self.make_rates(0.5)
@@ -216,6 +284,23 @@ class TestSdeSimulate:
         object.__setattr__(unstable, "s", 1.01)
         with pytest.raises(ParametricInstabilityError):
             sde_simulate(unstable, 1.0, duration=10.0, dt=1e-5, seed=1)
+
+
+class TestQuadratureSeries:
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_chunks_do_not_move_a_bit(self, n):
+        rng = np.random.default_rng(8)
+        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4, 8)
+        for theta in (0.0, 0.7, -2.3):
+            expected = (np.exp(1j * theta) * trace.samples).real
+            assert np.array_equal(quadrature_series(trace, theta), expected)
+
+    def test_peak_memory(self):
+        rng = np.random.default_rng(8)
+        n = 200_000
+        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4, 8)
+        series, peak = traced_peak(quadrature_series, trace, 0.7)
+        assert peak <= 1.3 * series.nbytes
 
 
 class TestWelchPsd:
@@ -281,6 +366,11 @@ class TestWelchPsd:
         with pytest.raises(GridError):
             welch_psd(x, segment_length=100, dt=1e-3)  # single segment
 
+    @pytest.mark.parametrize("segment_length", [1, 0, -5])
+    def test_degenerate_segment_rejected(self, segment_length):
+        with pytest.raises(GridError):
+            welch_psd(np.zeros(100), segment_length=segment_length, dt=1e-3)
+
 
 class TestEnvelopeTraceIO:
     def test_binary_round_trip(self, tmp_path):
@@ -295,3 +385,41 @@ class TestEnvelopeTraceIO:
         loaded = EnvelopeTrace.from_binary(path)
         assert loaded.dt == trace.dt and loaded.seed == 99
         assert np.array_equal(loaded.samples, trace.samples)
+
+    def test_special_values_round_trip(self, tmp_path):
+        samples = np.array(
+            [complex(-0.0, 1.0), complex(1.0, math.inf), complex(2.0, -math.inf),
+             complex(3.0, math.nan), complex(math.nan, -0.0), complex(-math.inf, 0.0)]
+        )
+        path = tmp_path / "trace.bin"
+        EnvelopeTrace(samples=samples, dt=1e-4, seed=3).to_binary(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = EnvelopeTrace.from_binary(path)
+        assert loaded.samples.tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 8, 16])
+    def test_truncated_file_raises(self, tmp_path, cut):
+        path = tmp_path / "trace.bin"
+        EnvelopeTrace(samples=np.arange(4) + 1j, dt=1e-4, seed=3).to_binary(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(GridError):
+            EnvelopeTrace.from_binary(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"",
+            b"sqzband-trace dt=1e-4 seed=3\n",
+            b"sqzband-trace dt=abc seed=3 length=0\n",
+            b"sqzband-trace dt=0.0 seed=3 length=0\n",
+            b"other-format dt=1e-4 seed=3 length=0\n",
+            b"sqzband-trace dt=1e-4 seed=3 length=0 junk\n",
+            b"\xff\xfe\n",
+        ],
+    )
+    def test_malformed_header_raises(self, tmp_path, header):
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header)
+        with pytest.raises(GridError):
+            EnvelopeTrace.from_binary(path)

@@ -217,6 +217,11 @@ class TestSegmentAverage:
         with pytest.raises(GridError):
             segment_average(np.zeros(4096), segment_seconds=0.3333, dt=1 / 1024)
 
+    @pytest.mark.parametrize("segment_seconds", [0.0, -1.0, math.nan, math.inf, 1 / 1024])
+    def test_degenerate_segment_rejected(self, segment_seconds):
+        with pytest.raises(GridError):
+            segment_average(np.zeros(4096), segment_seconds=segment_seconds, dt=1 / 1024)
+
     @pytest.mark.parametrize("n_per", [512, 511])
     def test_matches_folded_fft_reference(self, n_per):
         dt = 1 / 1024
