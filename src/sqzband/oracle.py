@@ -198,8 +198,9 @@ class EnvelopeTrace:
 
     @classmethod
     def from_binary(cls, path) -> "EnvelopeTrace":
-        """Read a `to_binary` file back bit for bit.  A malformed header, or a
-        payload other than exactly `length` samples, raises GridError."""
+        """Read a `to_binary` file back bit for bit; the samples are a
+        read-only view of the file's bytes.  A malformed header, or a payload
+        other than exactly `length` samples, raises GridError."""
         with open(path, "rb") as fh:
             header = fh.readline()
             payload = fh.read()
@@ -350,7 +351,8 @@ def quadrature_series(trace: EnvelopeTrace, theta: float) -> np.ndarray:
     tmp = np.empty(min(_CHUNK, samples.size), dtype=complex)
     for lo in range(0, samples.size, _CHUNK):
         part = tmp[: min(_CHUNK, samples.size - lo)]
-        # the same complex multiply as (c * samples).real, scalar on the left
+        # the complex multiply of (c * samples).real, scalar on the left; the
+        # real form c.real*re - c.imag*im rounds differently (fused multiply-add)
         np.multiply(c, samples[lo : lo + part.size], out=part)
         out[lo : lo + part.size] = part.real
     return out
