@@ -38,7 +38,7 @@ from .lineshape import (
     stokes_spectrum,
 )
 from .svgplot import write_svg
-from .synthesizer import make_onoff_pair, synth_onoff_from_rates
+from .synthesizer import make_onoff_pair
 
 _RATE_FIELDS = (
     ("omega_m", "effective resonance"),
@@ -226,16 +226,7 @@ def cmd_synth(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     if args.level == "physical":
         pair = make_onoff_pair(cfg.params, cfg.pump, cfg.detection, args.seed)
     else:
-        truth = _truth_from_config(cfg)
-        rates_on, rates_off = truth.rates_pair()
-        pair = synth_onoff_from_rates(
-            rates_on,
-            rates_off,
-            n_bar=truth.n_bar,
-            detection=truth.detection,
-            seed=args.seed,
-            params=cfg.params,
-        )
+        pair = _truth_from_config(cfg).synth_pair(args.seed)
     for name, spectrum in (("drive_on", pair.drive_on), ("drive_off", pair.drive_off)):
         path = out / f"{name}.csv"
         spectrum.to_csv(path)
@@ -378,10 +369,7 @@ def cmd_sweep(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
     """One synthetic drive-on spectrum with its noiseless curve and components."""
     rates_on, rates_off = truth.rates_pair()
-    pair = synth_onoff_from_rates(
-        rates_on, rates_off, n_bar=truth.n_bar, detection=truth.detection, seed=seed
-    )
-    data = pair.drive_on
+    data = truth.synth_pair(seed).drive_on
     cal = truth.detection.resolve_calibration(rates_off, truth.n_bar)
     grid = TWO_PI * data.freq_hz
     model, curve = heterodyne_composite(
@@ -585,6 +573,8 @@ def main(argv=None) -> int:
             parser.error("--points must be at least 2")
         if args.halfwidth_hz is not None and not args.halfwidth_hz > 0:
             parser.error("--halfwidth-hz must be positive")
+    if args.command == "fit" and not 0 < args.ratio_correction < math.inf:
+        parser.error("--ratio-correction must be positive and finite")
     try:
         return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
     except ConfigError as exc:

@@ -6,8 +6,9 @@ width (-> Gamma_eff, R0, n_bar); then, only if that fit converged, the
 drive-on spectrum with two pairs whose widths are tied to Gamma_eff (1 -/+ s),
 Gamma_eff frozen at the off-fit value, the centres starting at the off-fit
 centres and s the only extra shape parameter (-> s, R+, R-).  Weights follow
-the averaged-periodogram noise law sigma_bin = PSD_model / sqrt(n_avg),
-refreshed from the current model.
+the averaged-periodogram noise law sigma_bin = PSD_model / sqrt(n_avg): two
+LM passes, the first weighted by the smoothed data, the second by the first
+pass's model.
 Every line is the one Lorentzian kernel, `lineshape.lorentzian`, with weight
 width/2pi: unit area on the Hz grid of the data.
 
@@ -40,13 +41,14 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logit
 
 from .core import TWO_PI, DerivedRates
-from .data import SpectrumData
+from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios, lorentzian
 from .lm import levenberg_marquardt
@@ -61,7 +63,6 @@ _GTOL = 1e-10
 _FTOL = 1e-9
 _XTOL = 1e-12
 _MAX_NFEV = 500
-_WEIGHT_REFRESH = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +125,15 @@ class ExperimentTruth:
             n_bar=self.n_bar,
         )
         return on, on.without_parametric_drive()
+
+    def synth_pair(self, seed: int) -> OnOffPair:
+        """The seeded drive-on/off pair of this truth: the one place a truth
+        becomes synthetic spectra, for `sqzband synth`, the experiment
+        overlay and every batch trial."""
+        rates_on, rates_off = self.rates_pair()
+        return synth_onoff_from_rates(
+            rates_on, rates_off, n_bar=self.n_bar, detection=self.detection, seed=seed
+        )
 
 
 @dataclass(frozen=True)
@@ -395,17 +405,17 @@ def _initial_sigma(psd: np.ndarray, n_avg: int) -> np.ndarray:
 # so overflow on degenerate spectra is no error
 @np.errstate(all="ignore")
 def _run_weighted_fit(proj: _Projection, theta0, n_avg):
-    """IRLS loop: LM passes over theta with sigma = model / sqrt(n_avg) refreshed.
+    """Two LM passes over theta: the first at `proj`'s starting weights, the
+    second from its solution at sigma = first-pass model / sqrt(n_avg).
 
-    `proj` starts at the first pass's weights and is reweighted in place.
-    Returns the last pass's LMResult, the parameters and sigmas by name, and
-    chi^2 per degree of freedom."""
+    `proj` is reweighted in place between the passes.  Returns the second
+    pass's LMResult, the parameters and sigmas by name, and chi^2 per degree
+    of freedom."""
     tols = dict(ftol=_FTOL, xtol=_XTOL, gtol=_GTOL, max_nfev=_MAX_NFEV)
     result = levenberg_marquardt(proj, np.asarray(theta0, dtype=float), **tols)
-    for _ in range(_WEIGHT_REFRESH):
-        fitted = (result.resid + proj.target) * proj.sigma
-        proj.reweight(np.maximum(fitted, _sigma_floor(proj.psd)) / math.sqrt(n_avg))
-        result = levenberg_marquardt(proj, result.x, **tols)
+    fitted = (result.resid + proj.target) * proj.sigma
+    proj.reweight(np.maximum(fitted, _sigma_floor(proj.psd)) / math.sqrt(n_avg))
+    result = levenberg_marquardt(proj, result.x, **tols)
     p, jac = proj.solution(result.x)
     fisher = jac.T @ jac
     finite = np.isfinite(fisher).all()
@@ -572,10 +582,7 @@ def fit_pair_two_stage(
 
 def _trial_fits(truth: ExperimentTruth, seed: int):
     """Synthesize one on/off pair and fit it: (off, on), or None on failure."""
-    rates_on, rates_off = truth.rates_pair()
-    pair = synth_onoff_from_rates(
-        rates_on, rates_off, n_bar=truth.n_bar, detection=truth.detection, seed=seed
-    )
+    pair = truth.synth_pair(seed)
     try:
         off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
     except (np.linalg.LinAlgError, ValueError, GridError):
@@ -583,21 +590,15 @@ def _trial_fits(truth: ExperimentTruth, seed: int):
     return (off, on) if on is not None and on.converged else None
 
 
-def _map_trials(trial, inputs, n_jobs: int, chunksize: int) -> list:
+def _run_trials(
+    truth: ExperimentTruth, n_trials: int, root_seed: int, n_jobs: int, chunksize: int
+) -> list:
+    """`_trial_fits` of each trial's seed, in trial order, on `n_jobs` processes."""
+    args = (repeat(truth, n_trials), (task_seed(root_seed, i) for i in range(n_trials)))
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(trial, inputs, chunksize=chunksize))
-    return [trial(item) for item in inputs]
-
-
-def _bias_trial(args) -> float | None:
-    truth, seed, _ = args
-    fits = _trial_fits(truth, seed)
-    return None if fits is None else fits[1].params["s"]
-
-
-def _trial_inputs(truth, root_seed: int, n_trials: int):
-    return [(truth, task_seed(root_seed, i), i) for i in range(n_trials)]
+            return list(pool.map(_trial_fits, *args, chunksize=chunksize))
+    return list(map(_trial_fits, *args))
 
 
 def bias_study(
@@ -613,8 +614,8 @@ def bias_study(
         raise ValueError("bias study is defined for s = 0 truth")
     if n_trials < MIN_BIAS_TRIALS:
         raise ValueError(f"need at least {MIN_BIAS_TRIALS} trials for reported moments")
-    results = _map_trials(_bias_trial, _trial_inputs(truth, root_seed, n_trials), n_jobs, 32)
-    values = np.array([r for r in results if r is not None], dtype=float)
+    results = _run_trials(truth, n_trials, root_seed, n_jobs, chunksize=32)
+    values = np.array([fits[1].params["s"] for fits in results if fits is not None], dtype=float)
     n_failed = n_trials - values.size
     if values.size < 2:
         raise FitFailureError("bias study produced fewer than 2 usable fits")
@@ -636,30 +637,27 @@ def bias_study(
     )
 
 
-def _recovery_trial(args) -> dict | None:
-    truth, seed, idx = args
-    fits = _trial_fits(truth, seed)
-    if fits is None:
-        return None
-    off, on = fits
-    return {
-        "index": idx,
-        "s": on.params["s"],
-        "s_sigma_fit": on.sigmas["s"],
-        "gamma_eff_hz": off.params["gamma_eff_hz"],
-        "r0": off.ratios.r0,
-        "r_plus": on.ratios.r_plus,
-        "r_minus": on.ratios.r_minus,
-        "n_bar": off.n_bar_inferred,
-    }
-
-
 def recovery_campaign(
     truth: ExperimentTruth, n_repeats: int, root_seed: int, n_jobs: int = 1
 ) -> list[dict]:
     """Repeated synth -> two-stage-fit rounds; per-repeat recovered values."""
-    results = _map_trials(_recovery_trial, _trial_inputs(truth, root_seed, n_repeats), n_jobs, 8)
-    kept = [r for r in results if r is not None]
+    results = _run_trials(truth, n_repeats, root_seed, n_jobs, chunksize=8)
+    kept = []
+    for index, fits in enumerate(results):
+        if fits is not None:
+            off, on = fits
+            kept.append(
+                {
+                    "index": index,
+                    "s": on.params["s"],
+                    "s_sigma_fit": on.sigmas["s"],
+                    "gamma_eff_hz": off.params["gamma_eff_hz"],
+                    "r0": off.ratios.r0,
+                    "r_plus": on.ratios.r_plus,
+                    "r_minus": on.ratios.r_minus,
+                    "n_bar": off.n_bar_inferred,
+                }
+            )
     if len(kept) < 0.5 * n_repeats:
         raise FitFailureError("more than half of the campaign repeats failed to fit")
     return kept

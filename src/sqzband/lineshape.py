@@ -157,13 +157,12 @@ def antistokes_spectrum(rates: DerivedRates, n_bar: float, grid) -> np.ndarray:
 
 
 def sideband_areas(rates: DerivedRates, n_bar: float) -> tuple[float, float]:
-    """Analytic (stokes, anti_stokes) total areas, integral over dW/2pi."""
-    s = rates.s
-    sw_m, sw_p = _component_weights(n_bar, s, stokes=True)
-    aw_m, aw_p = _component_weights(n_bar, s, stokes=False)
-    stokes = sw_m / (2 * (1 - s)) + sw_p / (2 * (1 + s))
-    anti = aw_m / (2 * (1 - s)) + aw_p / (2 * (1 + s))
-    return stokes, anti
+    """Analytic (stokes, anti_stokes) total areas, integral over dW/2pi: the
+    summed area weights of each side's `sideband_components`."""
+    return tuple(
+        sum(c.area_weight for c in sideband_components(rates, n_bar, stokes=side))
+        for side in (True, False)
+    )
 
 
 def quadrature_spectrum(rates: DerivedRates, n_bar: float, theta: float, grid) -> np.ndarray:

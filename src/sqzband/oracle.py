@@ -184,10 +184,6 @@ class EnvelopeTrace:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
-
     def to_binary(self, path) -> None:
         """Small text header, then little-endian interleaved (re, im) float64."""
         path = Path(path)
@@ -359,27 +355,23 @@ def quadrature_series(trace: EnvelopeTrace, theta: float) -> np.ndarray:
 
 
 def welch_psd(
-    trace,
+    samples,
     segment_length: int,
     overlap_fraction: float = 0.5,
     window: str = "hann",
-    dt: float | None = None,
+    *,
+    dt: float,
 ) -> SpectrumData:
-    """Averaged-periodogram PSD estimate (density scaling).
+    """Averaged-periodogram PSD estimate (density scaling) of samples at step dt.
 
-    Accepts an EnvelopeTrace or a plain array with explicit dt.  Real input
-    gives a one-sided spectrum (real FFT, every bin but DC and Nyquist
-    doubled), complex input a two-sided one on an ascending grid.
+    Real samples give a one-sided spectrum (real FFT, every bin but DC and
+    Nyquist doubled), complex samples a two-sided one on an ascending grid;
+    pass `trace.samples, dt=trace.dt` for an EnvelopeTrace.
     Resolution is 1/(segment duration); n_avg records the number of
     (overlapping) segments averaged.  Segment periodograms are summed one
     at a time, so the working memory beyond the output is one segment.
     """
-    if isinstance(trace, EnvelopeTrace):
-        samples, dt = trace.samples, trace.dt
-    else:
-        samples = np.asarray(trace)
-        if dt is None:
-            raise ValueError("dt required for plain arrays")
+    samples = np.asarray(samples)
     n = samples.size
     segment_length = int(segment_length)
     if segment_length < 2:

@@ -45,7 +45,9 @@ class DetectionConfig:
     so the drive-off Stokes peak sits `snr` times above the floor.
     `band_halfwidth_hz` sets the fitted window around each sideband center;
     synthetic spectra hold only the grid bins inside the two windows,
-    emulating the restricted fit regions of the analysis.
+    emulating the restricted fit regions of the analysis.  Settings no
+    spectrum can be drawn with raise ValueError (a ConfigError when read
+    from a config file).
     """
 
     delta_lo_hz: float = 11e3
@@ -57,10 +59,16 @@ class DetectionConfig:
     n_avg: int = 10
 
     def __post_init__(self):
-        if self.delta_lo_hz <= 0 or self.resolution_hz <= 0:
-            raise ValueError("delta_lo_hz and resolution_hz must be positive")
-        if self.band_halfwidth_hz >= self.delta_lo_hz:
-            raise ValueError("fit bands around the two sidebands must not overlap")
+        if not (0 < self.delta_lo_hz < math.inf and 0 < self.resolution_hz < math.inf):
+            raise ValueError("delta_lo_hz and resolution_hz must be positive and finite")
+        if not 0 < self.band_halfwidth_hz < self.delta_lo_hz:
+            raise ValueError("band_halfwidth_hz must be positive and below delta_lo_hz")
+        if self.n_avg < 1:
+            raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
+        for name in ("floor", "snr", "calibration"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     @property
     def delta_lo(self) -> float:
@@ -191,38 +199,19 @@ def lockin_demodulate(
     return (np.exp(1j * theta) * lowpassed).real / math.sqrt(2)
 
 
-def segment_average(
-    trace,
-    segment_seconds: float,
-    resolution_hz: float | None = None,
-    dt: float | None = None,
-) -> SpectrumData:
-    """Non-overlapping rectangular-window periodograms, averaged.
+def segment_average(samples, segment_seconds: float, *, dt: float) -> SpectrumData:
+    """Averaged non-overlapping rectangular-window periodograms of samples at step dt.
 
     `welch_psd` with a boxcar window and zero overlap.  Resolution is
-    1/segment_seconds; if resolution_hz is passed it must agree.  The
-    segment length must land on the sample grid.  Complex input yields a
-    two-sided spectrum, real input one-sided.
+    1/segment_seconds.  The segment length must land on the sample grid.
+    Complex samples yield a two-sided spectrum, real ones one-sided.
     """
-    if isinstance(trace, EnvelopeTrace):
-        samples, dt = trace.samples, trace.dt
-    else:
-        samples = np.asarray(trace)
-        if dt is None:
-            raise ValueError("dt required for plain arrays")
     if not 0 < segment_seconds < math.inf:
         raise GridError("segment_seconds must be positive and finite")
     n_per = segment_seconds / dt
     if abs(n_per - round(n_per)) > 1e-9 * n_per:
         raise GridError("segment_seconds is not an integer number of samples")
-    n_per = int(round(n_per))
-    res = 1.0 / segment_seconds
-    if resolution_hz is not None and abs(res - resolution_hz) > 1e-9 * res:
-        raise GridError(
-            f"requested resolution {resolution_hz} Hz inconsistent with "
-            f"{segment_seconds} s segments"
-        )
-    spec = welch_psd(samples, n_per, overlap_fraction=0.0, window="boxcar", dt=dt)
+    spec = welch_psd(samples, round(n_per), overlap_fraction=0.0, window="boxcar", dt=dt)
     return replace(spec, meta={"segment_seconds": segment_seconds})
 
 

@@ -359,6 +359,21 @@ class TestSynthFitFlow:
             cli.main(["fit", "--off", str(path), "--out-dir", str(tmp_path), flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_fit_rejects_ratio_correction_that_cannot_be_right(
+        self, tmp_path, paper_config_path, capsys, value
+    ):
+        # a relative detection efficiency is positive and finite
+        synth, fits = tmp_path / "synth", tmp_path / "fits"
+        args = ["synth", "--config", str(paper_config_path), "--out-dir", str(synth), "--seed", "7"]
+        assert cli.main(args) == 0
+        files = ["--off", str(synth / "drive_off.csv"), "--on", str(synth / "drive_on.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", *files, "--out-dir", str(fits), "--ratio-correction", value])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (fits / "manifest.json").exists()
+
     def test_fit_manifest_has_no_seed(self, tmp_path, paper_config_path):
         synth, fits = tmp_path / "synth", tmp_path / "fits"
         args = ["synth", "--config", str(paper_config_path), "--out-dir", str(synth)]
@@ -730,11 +745,24 @@ class TestFormatOption:
         (["bias"], ("n_trials = 6000\nn_bar = 5.8", "n_trials = 6000\nn_bar = -0.5")),
         (["bias"], ("n_trials = 6000", "n_trials = 6000\ncenter_hz = 0")),
         (["sweep"], ("axis = detuning_delta", "axis = parametric_gain_s\nn_bar = -0.5")),
+        (["synth"], ("n_avg = 10", "n_avg = 0")),
+        (["synth"], ("floor = 1.0", "floor = -1")),
+        (["synth"], ("snr = 30.0", "snr = -3")),
+        (["synth"], ("floor = 1.0", "floor = 1.0\ncalibration = -2")),
+        (["synth"], ("band_halfwidth_hz = 300.0", "band_halfwidth_hz = -5")),
+        (["synth"], ("band_halfwidth_hz = 300.0", "band_halfwidth_hz = 0")),
+        (["synth"], ("delta_lo_hz = 11e3", "delta_lo_hz = nan")),
+        (["synth"], ("resolution_hz = 0.2", "resolution_hz = inf")),
+        (["bias"], ("n_avg = 1200", "n_avg = 0")),
+        (["bias"], ("n_jobs = 2", "n_jobs = 2\nfloor = -1")),
+        (["bias"], ("n_jobs = 2", "n_jobs = 2\nsnr = -3")),
+        (["bias"], ("n_jobs = 2", "n_jobs = 2\ncalibration = -2")),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
     # an explicit 0 is not "unset", and a study too small for its statistics does not run;
-    # neither does a negative occupancy or a resonance not at a positive frequency
+    # neither does a negative occupancy, a resonance not at a positive frequency, or
+    # detection settings no spectrum can be drawn with
     text = paper_config_path.read_text()
     if edit:
         assert edit[0] in text

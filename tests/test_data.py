@@ -329,3 +329,12 @@ class TestParallelDeterminism:
         assert serial.mean_s == parallel.mean_s
         assert serial.std_s == parallel.std_s
         assert np.array_equal(serial.hist_counts, parallel.hist_counts)
+
+    def test_recovery_campaign_independent_of_worker_count(self):
+        from sqzband.fitter import recovery_campaign
+
+        truth = cli._truth_from_config(load_config(PAPER_CONFIG))
+        serial = recovery_campaign(truth, n_repeats=8, root_seed=5, n_jobs=1)
+        parallel = recovery_campaign(truth, n_repeats=8, root_seed=5, n_jobs=2)
+        assert [row["index"] for row in serial] == list(range(8))
+        assert serial == parallel
