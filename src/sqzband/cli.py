@@ -163,7 +163,7 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
         "area_stokes": area_s,
         "area_antistokes": area_a,
         "area_difference": area_s - area_a,
-        "ratios": asdict(ratios),
+        "ratios": ratios,
         "squeezed_below_zero_point": squeezed,
         "squeezing_margin": margin,
         "sigma_x2": sigma_x2,
@@ -239,7 +239,7 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
     off = SpectrumData.from_csv(args.off)
     on = SpectrumData.from_csv(args.on) if args.on else None
     off_result, on_result = fit_pair_two_stage(off, on, ratio_correction=args.ratio_correction)
-    manifest.record(write_json(out / "fit_off.json", off_result.to_dict()))
+    manifest.record(write_json(out / "fit_off.json", off_result))
     if not off_result.converged:
         raise FitFailureError("drive-off fit did not converge")
     print(
@@ -247,7 +247,7 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
         f"R0 = {off_result.params['r0']:.5g}, n_bar = {off_result.n_bar_inferred:.4g}"
     )
     if on_result is not None:
-        manifest.record(write_json(out / "fit_on.json", on_result.to_dict()))
+        manifest.record(write_json(out / "fit_on.json", on_result))
         if not on_result.converged:
             raise FitFailureError("drive-on fit did not converge")
         print(
@@ -258,8 +258,9 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
 
 def _gain_axis(cfg: RunConfig):
     """parametric_gain_s: the closed forms at the held n_bar; |s| >= 1 is unstable."""
-    n_bar = cfg.sweep.held.get("n_bar", cfg.experiment.n_bar)
-    gamma_eff_hz = cfg.sweep.held.get("gamma_eff_hz", cfg.experiment.gamma_eff_hz)
+    sweep, exp = cfg.sweep, cfg.experiment
+    n_bar = exp.n_bar if sweep.n_bar is None else sweep.n_bar
+    gamma_eff_hz = exp.gamma_eff_hz if sweep.gamma_eff_hz is None else sweep.gamma_eff_hz
 
     def point(s_axis):
         s = abs(s_axis)
@@ -438,7 +439,7 @@ def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     if args.n_trials is not None:
         settings = replace(settings, n_trials=args.n_trials)
     report = bias_study(truth, settings.n_trials, args.seed, n_jobs=settings.n_jobs)
-    manifest.record(write_json(out / "bias_report.json", report.to_dict()))
+    manifest.record(write_json(out / "bias_report.json", report))
     centers = 0.5 * (report.hist_edges[:-1] + report.hist_edges[1:])
     manifest.record(
         write_csv(
@@ -457,14 +458,12 @@ def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 def cmd_rerun(args) -> int:
     record = RunManifest.load(args.manifest)
     argv = list(record["arguments"]["argv"])
+    # argparse keeps the last of a repeated option, in either of its forms
     snapshot = Path(args.manifest).parent / "config_snapshot.ini"
-    if snapshot.exists() and "--config" in argv:
-        argv[argv.index("--config") + 1] = str(snapshot)
+    if record["config_snapshot"] and snapshot.exists():
+        argv += ["--config", str(snapshot)]
     if args.out_dir:
-        if "--out-dir" in argv:
-            argv[argv.index("--out-dir") + 1] = args.out_dir
-        else:
-            argv += ["--out-dir", args.out_dir]
+        argv += ["--out-dir", args.out_dir]
     print(f"re-running: sqzband {' '.join(argv)}")
     return main(argv)
 
@@ -571,8 +570,8 @@ def main(argv=None) -> int:
             parser.error("--log-y applies to the plot: add --format svg")
         if args.points < 2:
             parser.error("--points must be at least 2")
-        if args.halfwidth_hz is not None and not args.halfwidth_hz > 0:
-            parser.error("--halfwidth-hz must be positive")
+        if args.halfwidth_hz is not None and not 0 < args.halfwidth_hz < math.inf:
+            parser.error("--halfwidth-hz must be positive and finite")
     if args.command == "fit" and not 0 < args.ratio_correction < math.inf:
         parser.error("--ratio-correction must be positive and finite")
     try:

@@ -4,17 +4,18 @@ Physics lives in [cavity], [mechanics], [pump] and [bath]; frequencies are
 given in Hz, temperatures in K, pump amplitudes as ``magnitude, phase_deg``
 pairs.  This module is the single place where Hz values are converted to
 angular rates.  Tool sections ([detection], [experiment], [sweep], [bias])
-configure synthesis, campaigns and sweeps and are optional; [detection],
-[experiment] and [bias] hold one key per field of their settings dataclass,
-whose defaults are the only defaults.  A key that no setting reads (a
-misspelled key, or any key of a misspelled section) is a ConfigError.
+configure synthesis, campaigns and sweeps and are optional; each holds one
+key per field of its settings dataclass ([bias] also those of [detection]),
+whose defaults are the only defaults; [sweep] start and stop have none and
+are required.  A key that no setting reads (a misspelled key, or any key of
+a misspelled section) is a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .core import PumpConfig, SystemParams
@@ -25,14 +26,29 @@ from .synthesizer import DetectionConfig
 SWEEP_AXES = ("parametric_gain_s", "gamma_eff", "detuning_delta")
 
 
+def _s_table(text: str) -> tuple[tuple[float, float], ...]:
+    """'gamma_hz:s; ...' -> ((gamma_hz, s), ...)."""
+    table = []
+    for entry in text.split(";"):
+        try:
+            x, y = entry.split(":")
+            table.append((float(x), float(y)))
+        except ValueError:
+            raise ValueError(f"entry {entry!r}") from None
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class SweepSettings:
-    axis: str
     start: float
     stop: float
-    n_points: int
-    held: dict = field(default_factory=dict)  # n_bar, gamma_eff_hz (parametric_gain_s axis)
-    s_table: tuple[tuple[float, float], ...] = ()  # (gamma_eff_hz, s) overrides (gamma_eff axis)
+    axis: str = "detuning_delta"
+    n_points: int = 21
+    # held on the parametric_gain_s axis; None takes [experiment]'s value
+    n_bar: float | None = None
+    gamma_eff_hz: float | None = None
+    # (gamma_eff_hz, s) overrides on the gamma_eff axis
+    s_table: tuple[tuple[float, float], ...] = field(default=(), metadata={"cast": _s_table})
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -41,21 +57,25 @@ class SweepSettings:
             raise ConfigError("sweep start must be below stop")
         if self.n_points < 2:
             raise ConfigError("sweep needs at least 2 points")
-        if not self.held.get("n_bar", 0.0) >= 0:
-            raise ConfigError(f"[sweep] n_bar must be nonnegative, got {self.held['n_bar']}")
-        unread = list(self.held) if self.axis != "parametric_gain_s" else []
+        if self.n_bar is not None and not self.n_bar >= 0:
+            raise ConfigError(f"n_bar must be nonnegative, got {self.n_bar}")
+        held = [name for name in ("n_bar", "gamma_eff_hz") if getattr(self, name) is not None]
+        unread = held if self.axis != "parametric_gain_s" else []
         unread += ["s_table"] if self.s_table and self.axis != "gamma_eff" else []
         if unread:
-            raise ConfigError(f"[sweep] {', '.join(unread)}: not read on the {self.axis} axis")
+            raise ConfigError(f"{', '.join(unread)}: not read on the {self.axis} axis")
 
 
-def _check_truth(settings) -> None:
-    """The model truth of [experiment] or [bias]: an occupancy the sidebands can
-    have and a resonance at a positive frequency."""
+def _check_shared(settings) -> None:
+    """What [experiment] and [bias] share: a model truth with an occupancy the
+    sidebands can have and a resonance at a positive frequency, and a pool of
+    at least one worker."""
     if not settings.n_bar >= 0:
         raise ConfigError(f"n_bar must be nonnegative, got {settings.n_bar}")
     if not settings.center_hz > 0:
         raise ConfigError(f"center_hz must be positive, got {settings.center_hz}")
+    if settings.n_jobs < 1:
+        raise ConfigError(f"n_jobs must be >= 1, got {settings.n_jobs}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,7 @@ class ExperimentSettings:
     n_jobs: int = 1
 
     def __post_init__(self):
-        _check_truth(self)
+        _check_shared(self)
         if self.n_repeats < 2:
             raise ConfigError(f"a campaign needs n_repeats >= 2, got {self.n_repeats}")
 
@@ -83,7 +103,7 @@ class BiasSettings:
     n_jobs: int = 1
 
     def __post_init__(self):
-        _check_truth(self)
+        _check_shared(self)
         if self.n_trials < MIN_BIAS_TRIALS:
             raise ConfigError(
                 f"a bias study needs n_trials >= {MIN_BIAS_TRIALS}, got {self.n_trials}"
@@ -117,18 +137,6 @@ def _amplitude(text: str) -> complex:
     return mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
 
 
-def _s_table(text: str) -> tuple[tuple[float, float], ...]:
-    """'gamma_hz:s; ...' -> ((gamma_hz, s), ...)."""
-    table = []
-    for entry in text.split(";"):
-        try:
-            x, y = entry.split(":")
-            table.append((float(x), float(y)))
-        except ValueError:
-            raise ValueError(f"entry {entry!r}") from None
-    return tuple(table)
-
-
 def load_config(path) -> RunConfig:
     """Parse a config file into physics parameters plus tool settings."""
     path = Path(path)
@@ -160,14 +168,17 @@ def load_config(path) -> RunConfig:
         return default
 
     def _settings(cls, section, **defaults):
-        """A `cls` read from `section`, one key per field.  An unset key takes
-        the field's default unless `defaults` overrides it; a set key is cast
-        to that default's type (int stays int, anything else reads as float)."""
+        """A `cls` read from `section`, one key per field.  A field with no
+        default is required; an unset key takes the field's default unless
+        `defaults` overrides it.  A set key is cast by the field's
+        metadata["cast"] if it has one, else to its default's type (int stays
+        int, str stays str, anything else reads as float)."""
         values = {}
         for f in fields(cls):
             default = defaults.get(f.name, f.default)
-            cast = int if isinstance(default, int) else float
-            values[f.name] = _get(section, f.name, cast=cast, default=default)
+            kind = next((t for t in (int, str) if isinstance(default, t)), float)
+            cast = f.metadata.get("cast", kind)
+            values[f.name] = _get(section, f.name, cast, default, required=default is MISSING)
         try:
             return cls(**values)
         except (ValueError, ConfigError) as exc:
@@ -222,21 +233,7 @@ def load_config(path) -> RunConfig:
     # n_avg = 10 reproduces the experimental-ensemble scatter instead).
     bias_detection = _settings(DetectionConfig, "bias", delta_lo_hz=1.1e3, n_avg=1200)
 
-    sweep = None
-    if parser.has_section("sweep"):
-        held = {}
-        for key in ("n_bar", "gamma_eff_hz"):
-            value = _get("sweep", key)
-            if value is not None:
-                held[key] = value
-        sweep = SweepSettings(
-            axis=_get("sweep", "axis", cast=str, default="detuning_delta"),
-            start=_get("sweep", "start", required=True),
-            stop=_get("sweep", "stop", required=True),
-            n_points=_get("sweep", "n_points", cast=int, default=21),
-            held=held,
-            s_table=_get("sweep", "s_table", cast=_s_table, default=()),
-        )
+    sweep = _settings(SweepSettings, "sweep") if parser.has_section("sweep") else None
 
     unread = [
         f"[{name}] {key}"

@@ -95,15 +95,6 @@ class SpectrumData:
         start, stop = np.searchsorted(self.k, j_lo), np.searchsorted(self.k, j_hi, "right")
         return slice(int(start), int(stop)), max(j_hi - j_lo + 1, 0)
 
-    def with_mask(self, mask: np.ndarray) -> "SpectrumData":
-        return SpectrumData(
-            freq_hz=self.freq_hz,
-            psd=self.psd,
-            n_avg=self.n_avg,
-            mask=mask,
-            meta=dict(self.meta),
-        )
-
     def to_csv(self, path) -> None:
         meta = json.dumps({"n_avg": self.n_avg, **self.meta}, sort_keys=True)
         write_csv(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import NamedTuple
 
@@ -84,25 +84,11 @@ class FitResult:
     params: dict
     sigmas: dict
     chi2_reduced: float
-    ratios: Ratios | None
+    ratios: Ratios
     n_bar_inferred: float | None
     converged: bool
     n_iter: int
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        out = {
-            "params": dict(self.params),
-            "sigmas": dict(self.sigmas),
-            "chi2_reduced": self.chi2_reduced,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "flags": list(self.flags),
-            "n_bar_inferred": self.n_bar_inferred,
-        }
-        if self.ratios is not None:
-            out["ratios"] = asdict(self.ratios)
-        return out
 
 
 @dataclass(frozen=True)
@@ -148,12 +134,6 @@ class BiasStudyReport:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     valid: bool
-
-    def to_dict(self) -> dict:
-        out = {name: value for name, value in vars(self).items() if not name.startswith("hist_")}
-        out["hist_edges"] = list(map(float, self.hist_edges))
-        out["hist_counts"] = list(map(int, self.hist_counts))
-        return out
 
 
 class _Basis(NamedTuple):
@@ -460,7 +440,7 @@ def apply_mask(data: SpectrumData, exclusion_windows) -> SpectrumData:
         if hi < lo_grid or lo > hi_grid:
             raise GridError(f"window ({lo}, {hi}) lies outside the grid")
         mask |= (data.freq_hz >= lo) & (data.freq_hz <= hi)
-    return data.with_mask(mask)
+    return replace(data, mask=mask, meta=dict(data.meta))
 
 
 def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +56,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_json(path, payload: dict) -> Path:
-    """Strict JSON (RFC 8259): NaN and +/-inf floats are written as null."""
+def write_json(path, payload) -> Path:
+    """Strict JSON (RFC 8259) of a dict or a dataclass instance, at any depth:
+    dataclasses are written as their fields, arrays and tuples as lists, and
+    NaN and +/-inf floats as null."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
@@ -66,6 +68,10 @@ def write_json(path, payload: dict) -> Path:
 
 
 def _finite_or_null(value):
+    if is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -101,19 +107,7 @@ class RunManifest:
 
     def write(self, path) -> Path:
         self.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-        return write_json(
-            path,
-            {
-                "command": self.command,
-                "config_snapshot": self.config_snapshot,
-                "root_seed": self.root_seed,
-                "tool_version": self.tool_version,
-                "arguments": self.arguments,
-                "outputs": sorted(self.outputs),
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-            },
-        )
+        return write_json(path, replace(self, outputs=sorted(self.outputs)))
 
     @staticmethod
     def load(path) -> dict:

@@ -111,6 +111,17 @@ class TestLoadConfig:
             load_config(path)
         assert cli.main(["rates", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_sweep_with_only_start_and_stop_takes_the_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL + "\n[sweep]\nstart = -1e5\nstop = 1e5\n"))
+        assert (cfg.sweep.axis, cfg.sweep.n_points) == ("detuning_delta", 21)
+        assert (cfg.sweep.start, cfg.sweep.stop) == (-1e5, 1e5)
+        assert cfg.sweep.n_bar is cfg.sweep.gamma_eff_hz is None and cfg.sweep.s_table == ()
+
+    def test_sweep_without_start_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "\n[sweep]\nstop = 1e5\n")
+        assert cli.main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "[sweep] start" in capsys.readouterr().err
+
     def test_shipped_examples_load(self, tmp_path):
         # every bundled config and the README's Configuration example
         readme = (REPO_ROOT / "README.md").read_text()
@@ -288,7 +299,7 @@ class TestSynthFitFlow:
         assert abs(off_fit["params"]["gamma_eff_hz"] - 100.0) < 10.0
         # the command runs the library's two-stage protocol, byte for byte
         for name, result in zip(("fit_off.json", "fit_on.json"), fit_pair_two_stage(off, on)):
-            expected = write_json(tmp_path / name, result.to_dict()).read_bytes()
+            expected = write_json(tmp_path / name, result).read_bytes()
             assert (fit_out / name).read_bytes() == expected
 
     def test_synth_writes_fitted_bands_only(self, tmp_path, paper_config_path, capsys):
@@ -657,6 +668,18 @@ class TestRerun:
         for name in ("drive_on.csv", "drive_off.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_rerun_reads_the_snapshot_when_recorded_as_config_equals(
+        self, tmp_path, paper_config_path
+    ):
+        # the snapshot, not the config file as it is now, drives the replay
+        config = write_config(tmp_path, paper_config_path.read_text(), name="c.ini")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["rates", f"--config={config}", f"--out-dir={first}"]) == 0
+        config.write_text(config.read_text().replace("delta_hz = 2.0e5", "delta_hz = 1.5e5"))
+        assert cli.main(["rerun", str(first / "manifest.json"), "--out-dir", str(second)]) == 0
+        for name in ("rates.json", "config_snapshot.ini"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_sweep_svg_rerun_reproduces_table(self, tmp_path, paper_config_path):
         first = tmp_path / "first"
         args = ["sweep", "--config", str(paper_config_path), "--out-dir", str(first)]
@@ -757,12 +780,15 @@ class TestFormatOption:
         (["bias"], ("n_jobs = 2", "n_jobs = 2\nfloor = -1")),
         (["bias"], ("n_jobs = 2", "n_jobs = 2\nsnr = -3")),
         (["bias"], ("n_jobs = 2", "n_jobs = 2\ncalibration = -2")),
+        (["experiment"], ("n_repeats = 100", "n_repeats = 100\nn_jobs = 0")),
+        (["bias"], ("n_jobs = 2", "n_jobs = 0")),
+        (["spectrum", "--halfwidth-hz", "inf"], None),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
     # an explicit 0 is not "unset", and a study too small for its statistics does not run;
-    # neither does a negative occupancy, a resonance not at a positive frequency, or
-    # detection settings no spectrum can be drawn with
+    # neither does a negative occupancy, a resonance not at a positive frequency, a pool
+    # of no workers, or detection settings no spectrum can be drawn with
     text = paper_config_path.read_text()
     if edit:
         assert edit[0] in text

@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -484,7 +485,7 @@ def _synth_pair(truth, index):
 
 
 def _fit_dicts(pair):
-    return [fit.to_dict() for fit in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
+    return [asdict(fit) for fit in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
 
 
 class TestWorkspace:

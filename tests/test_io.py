@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,3 +69,38 @@ def test_json_writes_non_finite_floats_as_null(tmp_path):
         "flags": ["s_at_lower_bound"],
         "ok": True,
     }
+
+
+@dataclass(frozen=True)
+class _Inner:
+    r0: float
+    flags: tuple
+
+
+@dataclass(frozen=True)
+class _Report:
+    inner: _Inner
+    edges: np.ndarray
+    counts: np.ndarray
+    sigmas: dict
+    note: str | None = None
+
+
+def test_json_of_a_dataclass_is_its_fields(tmp_path):
+    # nested dataclasses become dicts, arrays and tuples lists, NaN and inf null
+    report = _Report(
+        inner=_Inner(r0=math.inf, flags=("s_at_lower_bound", 0.1 + 0.2)),
+        edges=np.array([0.0, 5e-324, 1e22, math.nan]),
+        counts=np.array([0, 3, 2**40], dtype=np.int64),
+        sigmas={"s": math.nan, "q": (math.inf, -0.0)},
+    )
+    by_hand = {
+        "inner": {"r0": math.inf, "flags": ["s_at_lower_bound", 0.1 + 0.2]},
+        "edges": [0.0, 5e-324, 1e22, math.nan],
+        "counts": [0, 3, 2**40],
+        "sigmas": {"s": math.nan, "q": [math.inf, -0.0]},
+        "note": None,
+    }
+    got = write_json(tmp_path / "got.json", report).read_bytes()
+    assert got == write_json(tmp_path / "by_hand.json", by_hand).read_bytes()
+    assert load_strict_json(tmp_path / "got.json")["edges"] == [0.0, 5e-324, 1e22, None]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ class TestOnOffPair:
             assert not got.mask.any()
             assert got.freq_hz.tobytes() == ref.freq_hz[keep].tobytes()
             assert got.psd.tobytes() == ref.psd[keep].tobytes()
-        got_fits = [r.to_dict() for r in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
-        ref_fits = [r.to_dict() for r in fit_pair_two_stage(full.drive_off, full.drive_on)]
+        got_fits = [asdict(r) for r in fit_pair_two_stage(pair.drive_off, pair.drive_on)]
+        ref_fits = [asdict(r) for r in fit_pair_two_stage(full.drive_off, full.drive_on)]
         assert repr(got_fits) == repr(ref_fits)
 
     def test_drawn_selects_one_variate_per_bin(self):
