@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import hbar, k as k_B
-
 from .errors import (
     AntiDampingError,
     InternalConsistencyError,
@@ -30,6 +28,10 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# exact SI 2019 (CODATA 2018) values, bit-equal to scipy.constants.hbar and .k
+hbar = 6.62607015e-34 / (2 * math.pi)  # J s
+k_B = 1.380649e-23  # J/K
 
 # relative tolerance for the A- - A+ = Gamma_opt identity check
 _IDENTITY_RTOL = 1e-10

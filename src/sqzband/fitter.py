@@ -23,7 +23,9 @@ The full Jacobian is built once, at the solution, for the uncertainties.
 s enters the optimizer through a logistic transform onto (0, 0.999): the
 spectra depend only on |s| and the transform keeps the fit smooth at the
 s = 0 boundary, which is what folds the no-drive fitted-s distribution to
-small positive values.
+small positive values.  The scalar transform and its inverse (`_expit`,
+`_logit`) reproduce scipy.special's formulas bit for bit, so fitted values no
+longer depend on the installed scipy's `special` build.
 
 Each thread keeps one workspace of the fit's work arrays (`_Workspace`):
 the offsets, lines and solve columns of the models, the weighted rows, the
@@ -39,13 +41,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import TWO_PI, DerivedRates
 from .data import OnOffPair, SpectrumData
@@ -63,6 +63,22 @@ _GTOL = 1e-10
 _FTOL = 1e-9
 _XTOL = 1e-12
 _MAX_NFEV = 500
+
+
+def _expit(x: float) -> float:
+    """Logistic 1 / (1 + e^-x), bit-equal to scipy.special.expit."""
+    try:
+        return 1 / (1 + math.exp(-x))
+    except OverflowError:  # x below about -709.78: scipy's 1 / (1 + inf)
+        return 0.0
+
+
+def _logit(p: float) -> float:
+    """log(p / (1 - p)) for 0 < p < 1, bit-equal to scipy.special.logit:
+    near p = 1/2 it takes scipy's cancellation-free form."""
+    if p < 0.3 or p > 0.65:
+        return math.log(p / (1 - p))
+    return math.log1p(2 * (p - 0.5)) - math.log1p(-2 * (p - 0.5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +243,8 @@ class _TwoPairModel(_Model):
     def basis(self, f, theta) -> _Basis:
         c1, c2, q = theta
         g = self.gamma_eff_hz
-        s = S_MAX * expit(q)
-        dg_dq = g * s * expit(-q)
+        s = S_MAX * _expit(q)
+        dg_dq = g * s * _expit(-q)  # not 1 - _expit(q), whose bits differ
         gn, gb = g * (1 - s), g * (1 + s)
         d, d2 = self._offsets(f, c1, c2)
         lines, solve = self._lines, self._solve
@@ -471,6 +487,7 @@ def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitRes
 
 
 _S_SCAN = (0.02, 0.08, 0.18, 0.32, 0.5, 0.7, 0.9)
+_Q_SCAN = tuple(_logit(s / S_MAX) for s in _S_SCAN)
 
 
 @np.errstate(all="ignore")  # as in _run_weighted_fit
@@ -479,9 +496,8 @@ def _scan_linear_start(proj, c1, c2) -> float:
 
     Each grid point costs one linear solve for floor and areas; this puts the
     nonlinear polish close to the optimum."""
-    qs = logit(np.array(_S_SCAN) / S_MAX)
-    costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in qs]
-    return float(qs[int(np.argmin(costs))])
+    costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in _Q_SCAN]
+    return _Q_SCAN[int(np.argmin(costs))]
 
 
 def fit_double_pair(
@@ -510,7 +526,7 @@ def fit_double_pair(
         c1, c2, _ = _initial_guess(freq, psd)
     q0 = _scan_linear_start(proj, c1, c2)
     res, params, sigmas, chi2 = _run_weighted_fit(proj, (c1, c2, q0), data.n_avg)
-    e = expit(params["q"])
+    e = _expit(params["q"])
     s_hat = float(S_MAX * e)
     params["s"] = s_hat
     params["gamma_eff_hz"] = gamma_eff_hz
@@ -576,6 +592,9 @@ def _run_trials(
     """`_trial_fits` of each trial's seed, in trial order, on `n_jobs` processes."""
     args = (repeat(truth, n_trials), (task_seed(root_seed, i) for i in range(n_trials)))
     if n_jobs > 1:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(_trial_fits, *args, chunksize=chunksize))
     return list(map(_trial_fits, *args))

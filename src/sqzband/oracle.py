@@ -303,7 +303,10 @@ def sde_simulate(
     (x0 and noise of u, then of v), so the samples are bit-identical to it,
     and the working memory is one record plus one chunk.
     """
-    from scipy.signal import lfilter  # not at module level: ~1 s of `import sqzband`
+    # The oracle is the package's only scipy user.  Importing scipy.signal takes
+    # 0.87-1.15 s with numpy already loaded (5 runs of -X importtime, 2 cores),
+    # so it is imported here and only the oracle's callers pay for it.
+    from scipy.signal import lfilter
     if not abs(rates.s) < 1:
         raise ParametricInstabilityError("unstable parameters rejected before integration")
     if dt * rates.gamma_plus >= 0.1:
@@ -385,7 +388,7 @@ def welch_psd(
     if n_seg < 2:
         raise GridError("need at least 2 averaging segments")
 
-    from scipy.signal import get_window  # not at module level, as in sde_simulate
+    from scipy.signal import get_window  # here, for sde_simulate's reason
     is_complex = np.iscomplexobj(samples)
     transform = np.fft.fft if is_complex else np.fft.rfft
     taper = get_window(window, segment_length, fftbins=True)

@@ -803,11 +803,21 @@ def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, cap
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is most of the import time of every command; only the oracle uses it
-    code = "import sqzband, sys; assert 'scipy.signal' not in sys.modules"
+def test_import_and_config_load_leave_scipy_and_multiprocessing_unloaded(paper_config_path):
+    # what every command pays before it works: only the oracle needs scipy, and only
+    # a bias or experiment pool needs multiprocessing
+    code = (
+        "import sqzband, sqzband.cli, sys\n"
+        "from sqzband.config import load_config\n"
+        f"load_config({str(paper_config_path)!r})\n"
+        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "print(sorted(m for m in sys.modules if m in heavy or m.startswith('scipy.')))\n"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestOutDirEnv:

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import hbar, k as k_B
 
 from conftest import TWO_PI, sample_stable_rates, sample_system
+from sqzband import core
 from sqzband.core import (
     IntracavityField,
     PumpConfig,
@@ -291,6 +292,10 @@ class TestOccupancy:
 
 
 class TestThermalOccupation:
+    def test_constants_equal_scipy(self):
+        # the exact SI values, written without scipy, keep scipy.constants' bits
+        assert core.hbar == hbar and core.k_B == k_B
+
     def test_high_temperature_limit(self):
         omega = TWO_PI * 530e3
         n = thermal_occupation(7.0, omega)

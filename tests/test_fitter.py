@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from conftest import TWO_PI
 from sqzband import fitter
@@ -511,3 +511,25 @@ class TestWorkspace:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestLogisticTransform:
+    # the fitter's scalar expit and logit must keep scipy.special's bits
+    def test_expit_bit_equal_to_scipy(self):
+        rng = np.random.default_rng(18)
+        edges = [709.78, -709.78, 745.0, -745.0, -746.0, 800.0, 0.0, -0.0, np.inf, -np.inf]
+        x = np.concatenate(
+            [rng.normal(0, 5, 200_000), rng.uniform(-800, 800, 100_000), rng.normal(0, 40, 100_000)]
+            + [edges]
+        )
+        ours = np.array([fitter._expit(v) for v in x.tolist()])
+        assert np.array_equal(ours.view(np.int64), expit(x).view(np.int64))
+        assert math.isnan(fitter._expit(math.nan))
+
+    def test_logit_bit_equal_to_scipy(self):
+        # uniform(0, 1) crosses both branch edges, 0.3 and 0.65
+        scan = np.array(fitter._S_SCAN) / S_MAX
+        p = np.concatenate([scan, np.random.default_rng(18).uniform(0, 1, 100_000)])
+        ours = np.array([fitter._logit(v) for v in p.tolist()])
+        assert np.array_equal(ours.view(np.int64), logit(p).view(np.int64))
+        assert fitter._Q_SCAN == tuple(logit(scan).tolist())
