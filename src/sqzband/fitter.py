@@ -24,8 +24,8 @@ s enters the optimizer through a logistic transform onto (0, 0.999): the
 spectra depend only on |s| and the transform keeps the fit smooth at the
 s = 0 boundary, which is what folds the no-drive fitted-s distribution to
 small positive values.  The scalar transform and its inverse (`_expit`,
-`_logit`) reproduce scipy.special's formulas bit for bit, so fitted values no
-longer depend on the installed scipy's `special` build.
+`_logit`) reproduce scipy.special's formulas bit for bit, so fitted values do
+not depend on the installed scipy's `special` build.
 
 Each thread keeps one workspace of the fit's work arrays (`_Workspace`):
 the offsets, lines and solve columns of the models, the weighted rows, the
