@@ -118,7 +118,7 @@ def cmd_rates(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 def _model_rates_from_args(args, cfg: RunConfig) -> tuple[DerivedRates, float]:
     """(rates, n_bar) of [experiment] with the model flags given in its place,
     or, when no model flag is given, of the pump."""
-    names = ("n_bar", "s", "gamma_eff_hz", "phi_deg", "center_hz")
+    names = ("n_bar", "s", "gamma_eff_hz", "center_hz")
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if not given:
         rates = derive_all(cfg.params, cfg.pump)
@@ -257,10 +257,8 @@ def cmd_fit(args, cfg: None, out: Path, manifest: RunManifest) -> None:
 
 
 def _gain_axis(cfg: RunConfig):
-    """parametric_gain_s: the closed forms at the held n_bar; |s| >= 1 is unstable."""
-    sweep, exp = cfg.sweep, cfg.experiment
-    n_bar = exp.n_bar if sweep.n_bar is None else sweep.n_bar
-    gamma_eff_hz = exp.gamma_eff_hz if sweep.gamma_eff_hz is None else sweep.gamma_eff_hz
+    """parametric_gain_s: the closed forms at [experiment]'s n_bar; |s| >= 1 is unstable."""
+    n_bar, gamma_eff_hz = cfg.experiment.n_bar, cfg.experiment.gamma_eff_hz
 
     def point(s_axis):
         s = abs(s_axis)
@@ -493,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bar", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--gamma-eff-hz", type=float, default=None)
-    p.add_argument("--phi-deg", type=float, default=None)
     p.add_argument("--center-hz", type=float, default=None)
     p.add_argument("--halfwidth-hz", type=float, default=None)
     p.add_argument("--points", type=int, default=2001)

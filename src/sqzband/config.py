@@ -8,7 +8,8 @@ configure synthesis, campaigns and sweeps and are optional; each holds one
 key per field of its settings dataclass ([bias] also those of [detection]),
 whose defaults are the only defaults; [sweep] start and stop have none and
 are required.  A key that no setting reads (a misspelled key, or any key of
-a misspelled section) is a ConfigError.
+a misspelled section) is a ConfigError, and so is a physics value, a model
+truth or a sweep range that is not finite.
 """
 
 from __future__ import annotations
@@ -44,36 +45,30 @@ class SweepSettings:
     stop: float
     axis: str = "detuning_delta"
     n_points: int = 21
-    # held on the parametric_gain_s axis; None takes [experiment]'s value
-    n_bar: float | None = None
-    gamma_eff_hz: float | None = None
     # (gamma_eff_hz, s) overrides on the gamma_eff axis
     s_table: tuple[tuple[float, float], ...] = field(default=(), metadata={"cast": _s_table})
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
-        if not self.start < self.stop:
-            raise ConfigError("sweep start must be below stop")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise ConfigError("sweep start must be below stop, both finite")
         if self.n_points < 2:
             raise ConfigError("sweep needs at least 2 points")
-        if self.n_bar is not None and not self.n_bar >= 0:
-            raise ConfigError(f"n_bar must be nonnegative, got {self.n_bar}")
-        held = [name for name in ("n_bar", "gamma_eff_hz") if getattr(self, name) is not None]
-        unread = held if self.axis != "parametric_gain_s" else []
-        unread += ["s_table"] if self.s_table and self.axis != "gamma_eff" else []
-        if unread:
-            raise ConfigError(f"{', '.join(unread)}: not read on the {self.axis} axis")
+        if self.s_table and self.axis != "gamma_eff":
+            raise ConfigError(f"s_table: not read on the {self.axis} axis")
 
 
 def _check_shared(settings) -> None:
-    """What [experiment] and [bias] share: a model truth with an occupancy the
-    sidebands can have and a resonance at a positive frequency, and a pool of
-    at least one worker."""
-    if not settings.n_bar >= 0:
-        raise ConfigError(f"n_bar must be nonnegative, got {settings.n_bar}")
-    if not settings.center_hz > 0:
-        raise ConfigError(f"center_hz must be positive, got {settings.center_hz}")
+    """What [experiment] and [bias] share: a model truth with a finite
+    occupancy the sidebands can have, a positive finite width and a resonance
+    at a positive finite frequency, and a pool of at least one worker."""
+    if not 0 <= settings.n_bar < math.inf:
+        raise ConfigError(f"n_bar must be nonnegative and finite, got {settings.n_bar}")
+    if not 0 < settings.gamma_eff_hz < math.inf:
+        raise ConfigError(f"gamma_eff_hz must be positive and finite, got {settings.gamma_eff_hz}")
+    if not 0 < settings.center_hz < math.inf:
+        raise ConfigError(f"center_hz must be positive and finite, got {settings.center_hz}")
     if settings.n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {settings.n_jobs}")
 
@@ -90,6 +85,8 @@ class ExperimentSettings:
 
     def __post_init__(self):
         _check_shared(self)
+        if not math.isfinite(self.s):
+            raise ConfigError(f"s must be finite, got {self.s}")
         if self.n_repeats < 2:
             raise ConfigError(f"a campaign needs n_repeats >= 2, got {self.n_repeats}")
 
@@ -132,8 +129,8 @@ def _amplitude(text: str) -> complex:
     if len(parts) != 2:
         raise ValueError(f"expected 'magnitude, phase_degrees', got {text!r}")
     mag, deg = float(parts[0]), float(parts[1])
-    if mag < 0:
-        raise ValueError("magnitude must be nonnegative")
+    if not (0 <= mag < math.inf and math.isfinite(deg)):
+        raise ValueError("magnitude must be nonnegative and finite, phase finite")
     return mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
 
 

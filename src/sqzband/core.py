@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import (
     AntiDampingError,
@@ -48,7 +48,6 @@ class SystemParams:
     gamma_m        mechanical damping
     delta          mean two-tone detuning from cavity resonance (signed)
     n_th           thermal bath occupancy
-    bath_temperature  optional record of the temperature n_th came from (K)
     n_extra        additive occupancy for unmodelled back-action (default 0)
     """
 
@@ -59,10 +58,12 @@ class SystemParams:
     gamma_m: float
     delta: float
     n_th: float
-    bath_temperature: float | None = None
     n_extra: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if not 0 < self.kappa_in <= self.kappa:
@@ -110,7 +111,6 @@ class SystemParams:
             gamma_m=TWO_PI * gamma_m_hz,
             delta=TWO_PI * delta_hz,
             n_th=n_th,
-            bath_temperature=temperature_k,
             n_extra=n_extra,
         )
 
@@ -245,8 +245,8 @@ class DerivedRates:
 
 def thermal_occupation(temperature: float, omega: float) -> float:
     """Bose-Einstein occupancy 1 / (exp(hbar omega / kB T) - 1)."""
-    if temperature <= 0 or omega <= 0:
-        raise ValueError("temperature and omega must be positive")
+    if not (0 < temperature < math.inf and 0 < omega < math.inf):
+        raise ValueError("temperature and omega must be positive and finite")
     # expm1 keeps the high-temperature limit accurate (x ~ 1e-6 is typical)
     return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
 

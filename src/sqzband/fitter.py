@@ -451,8 +451,8 @@ def apply_mask(data: SpectrumData, exclusion_windows) -> SpectrumData:
     mask = data.mask.copy()
     lo_grid, hi_grid = data.freq_hz[0], data.freq_hz[-1]
     for lo, hi in exclusion_windows:
-        if hi < lo:
-            raise GridError(f"window ({lo}, {hi}) is inverted")
+        if not lo <= hi:
+            raise GridError(f"window ({lo}, {hi}) is inverted or not a number")
         if hi < lo_grid or lo > hi_grid:
             raise GridError(f"window ({lo}, {hi}) lies outside the grid")
         mask |= (data.freq_hz >= lo) & (data.freq_hz <= hi)
@@ -514,8 +514,8 @@ def fit_double_pair(
     start of s always comes from a coarse s scan.
     """
     gamma_eff_hz = gamma_eff_fixed / TWO_PI
-    if gamma_eff_hz <= 0:
-        raise ValueError("gamma_eff_fixed must be positive")
+    if not 0 < gamma_eff_hz < math.inf:
+        raise ValueError("gamma_eff_fixed must be positive and finite")
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
     model = _TwoPairModel(gamma_eff_hz, freq.size)
@@ -659,4 +659,6 @@ def recovery_campaign(
             )
     if len(kept) < 0.5 * n_repeats:
         raise FitFailureError("more than half of the campaign repeats failed to fit")
+    if len(kept) < 2:
+        raise FitFailureError("campaign produced fewer than 2 usable fits")
     return kept

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -164,7 +163,6 @@ class NoiseCorrelators:
 class PropagatedSpectra:
     """Output bundle of `propagate_spectra` (symmetrized, real arrays)."""
 
-    grid: np.ndarray
     stokes: np.ndarray
     antistokes: np.ndarray
     quadratures: dict
@@ -177,42 +175,11 @@ class EnvelopeTrace:
 
     samples: np.ndarray
     dt: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-    def to_binary(self, path) -> None:
-        """Small text header, then little-endian interleaved (re, im) float64."""
-        path = Path(path)
-        header = f"sqzband-trace dt={self.dt!r} seed={self.seed} length={self.samples.size}\n"
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(self.samples, dtype="<c16").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "EnvelopeTrace":
-        """Read a `to_binary` file back bit for bit; the samples are a
-        read-only view of the file's bytes.  A malformed header, or a payload
-        other than exactly `length` samples, raises GridError."""
-        with open(path, "rb") as fh:
-            header = fh.readline()
-            payload = fh.read()
-        try:
-            magic, *items = header.decode("ascii").split()
-            fields = dict(item.split("=") for item in items)
-            dt, seed, length = float(fields["dt"]), int(fields["seed"]), int(fields["length"])
-        except (ValueError, KeyError) as exc:
-            raise GridError(f"malformed trace header {header[:80]!r}") from exc
-        if magic != "sqzband-trace" or not 0 < dt < math.inf:
-            raise GridError(f"malformed trace header {header[:80]!r}")
-        if len(payload) != 16 * length:
-            raise GridError(
-                f"trace payload of {len(payload)} bytes is not the {length} samples of its header"
-            )
-        return cls(samples=np.frombuffer(payload, dtype="<c16"), dt=dt, seed=seed)
 
 
 def _contract(left: np.ndarray, right: np.ndarray, corr: np.ndarray) -> np.ndarray:
@@ -275,7 +242,6 @@ def propagate_spectra(
             inv_pos[:, 1], inv_pos[:, 0], inv_neg[:, 1], inv_neg[:, 0]
         )
     return PropagatedSpectra(
-        grid=grid,
         stokes=stokes,
         antistokes=antistokes,
         quadratures=quadratures,
@@ -335,7 +301,7 @@ def sde_simulate(
     # the scalar stays on the left, which keeps the samples bit-identical to
     # exp(i phi/2) * (u + i v)
     np.multiply(np.exp(1j * rates.phi / 2), beta, out=beta)
-    return EnvelopeTrace(samples=beta, dt=dt, seed=seed)
+    return EnvelopeTrace(samples=beta, dt=dt)
 
 
 def quadrature_series(trace: EnvelopeTrace, theta: float) -> np.ndarray:

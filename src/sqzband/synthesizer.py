@@ -113,10 +113,11 @@ def synth_periodogram(
     `mean_psd` is the model sampled on `freq_hz` (e.g. the PSD that
     heterodyne_composite returns).  Per-bin mean equals the model, relative
     standard deviation 1/sqrt(n_avg); bins are independent.  Deterministic
-    per seed.  `drawn`, a boolean selector over a larger grid, draws one
-    variate per entry of that grid and gives the i-th bin the variate of
-    the i-th selected entry, so a bin's value does not depend on which
-    other bins are kept.
+    per seed.  `drawn` is a boolean selector over the grid the variates are
+    drawn on: one variate per entry of that grid, and the i-th bin gets the
+    variate of the i-th selected entry, so a bin's value does not depend on
+    which other bins are kept.  None draws on the bins alone, one variate
+    per bin.
     """
     if n_avg < 1:
         raise ValueError("n_avg must be >= 1")
@@ -124,14 +125,11 @@ def synth_periodogram(
     truth = np.asarray(mean_psd, dtype=float)
     if np.any(truth < 0):
         raise ValueError("model PSD must be nonnegative on the grid")
+    drawn = np.ones(truth.size, dtype=bool) if drawn is None else np.asarray(drawn, dtype=bool)
+    if drawn.ndim != 1 or np.count_nonzero(drawn) != truth.size:
+        raise GridError("drawn must select exactly one entry per bin")
     rng = np.random.default_rng(seed)
-    if drawn is None:
-        variates = rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=truth.shape)
-    else:
-        drawn = np.asarray(drawn, dtype=bool)
-        if drawn.ndim != 1 or np.count_nonzero(drawn) != truth.size:
-            raise GridError("drawn must select exactly one entry per bin")
-        variates = rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=drawn.size)[drawn]
+    variates = rng.gamma(shape=n_avg, scale=1.0 / n_avg, size=drawn.size)[drawn]
     info = {"seed": seed} if meta is None else {"seed": seed, **meta}
     return SpectrumData(freq_hz=freq_hz, psd=truth * variates, n_avg=n_avg, meta=info)
 
@@ -174,7 +172,7 @@ def synth_timeseries(
         rng = task_rng(seed, 1)
         scale = math.sqrt(floor * fs / 2)
         signal = signal + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return EnvelopeTrace(samples=signal, dt=dt, seed=seed)
+    return EnvelopeTrace(samples=signal, dt=dt)
 
 
 def lockin_demodulate(

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, TWO_PI, load_strict_json, load_table
-from sqzband import cli
+from sqzband import cli, fitter
 from sqzband.config import load_config
 from sqzband.core import derive_all
 from sqzband.data import SpectrumData
 from sqzband.errors import ConfigError
 from sqzband.fitter import BiasStudyReport, fit_pair_two_stage
 from sqzband.io import write_json
+from sqzband.seeding import task_seed
 
 
 MINIMAL = """
@@ -115,7 +116,7 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, MINIMAL + "\n[sweep]\nstart = -1e5\nstop = 1e5\n"))
         assert (cfg.sweep.axis, cfg.sweep.n_points) == ("detuning_delta", 21)
         assert (cfg.sweep.start, cfg.sweep.stop) == (-1e5, 1e5)
-        assert cfg.sweep.n_bar is cfg.sweep.gamma_eff_hz is None and cfg.sweep.s_table == ()
+        assert cfg.sweep.s_table == ()
 
     def test_sweep_without_start_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, MINIMAL + "\n[sweep]\nstop = 1e5\n")
@@ -232,9 +233,7 @@ class TestSpectrumCommand:
         text = (out / "sidebands.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--gamma-eff-hz", "150"), ("--phi-deg", "30"), ("--center-hz", "531e3")]
-    )
+    @pytest.mark.parametrize("flag, value", [("--gamma-eff-hz", "150"), ("--center-hz", "531e3")])
     def test_any_model_flag_selects_the_model(self, tmp_path, paper_config_path, flag, value):
         # one model flag is enough; the other model values come from [experiment]
         out = tmp_path / "model"
@@ -247,6 +246,14 @@ class TestSpectrumCommand:
         freq = load_table(out / "composite.csv")["frequency_hz"]
         center_hz = 531e3 if flag == "--center-hz" else 530e3
         assert (freq[0] + freq[-1]) / 2 == pytest.approx(center_hz, rel=1e-12)
+
+    def test_phase_flag_rejected(self, tmp_path, paper_config_path):
+        # no sideband spectrum depends on the squeezing phase, which only picks
+        # the squeezed quadrature
+        args = ["spectrum", "--config", str(paper_config_path), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--phi-deg", "30"])
+        assert exc.value.code == 2
 
     def test_log_y_needs_the_plot(self, tmp_path, paper_config_path):
         args = ["spectrum", "--config", str(paper_config_path), "--out-dir", str(tmp_path)]
@@ -441,8 +448,8 @@ class TestSweepCommand:
         text = Path(paper_config_path).read_text()
         text = text.replace(
             "axis = detuning_delta\nstart = -4.0e5\nstop = 4.0e5\nn_points = 41",
-            "axis = parametric_gain_s\nstart = 0.0\nstop = 0.9\nn_points = 10\nn_bar = 4.2",
-        )
+            "axis = parametric_gain_s\nstart = 0.0\nstop = 0.9\nn_points = 10",
+        ).replace("[experiment]\nn_bar = 5.8", "[experiment]\nn_bar = 4.2")
         path = tmp_path / "s_sweep.ini"
         path.write_text(text)
         out = tmp_path / "out"
@@ -527,13 +534,16 @@ class TestSweepCommand:
         "line", ["n_bar = 99", "gamma_eff_hz = 7", "s_table = 50:0.30; 500:0.55"]
     )
     def test_key_its_axis_never_reads_rejected(self, tmp_path, paper_config_path, line):
-        # n_bar and gamma_eff_hz only matter on parametric_gain_s, s_table on gamma_eff
-        text = Path(paper_config_path).read_text()
-        text = text.replace("n_points = 41", f"n_points = 41\n{line}")
-        path = tmp_path / "sweep.ini"
-        path.write_text(text)
-        assert cli.main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert not (tmp_path / "sweep.csv").exists()
+        # s_table matters on gamma_eff only; no axis reads a [sweep] n_bar or
+        # gamma_eff_hz, parametric_gain_s takes [experiment]'s
+        for axis in ("detuning_delta", "parametric_gain_s"):
+            text = Path(paper_config_path).read_text()
+            text = text.replace("axis = detuning_delta", f"axis = {axis}")
+            text = text.replace("n_points = 41", f"n_points = 41\n{line}")
+            path = tmp_path / "sweep.ini"
+            path.write_text(text)
+            assert cli.main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+            assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestExperimentCommand:
@@ -574,6 +584,22 @@ class TestExperimentCommand:
         assert summary["s_sigma_fit_mean"] == pytest.approx(
             rows["s_sigma_fit"][~undefined].mean(), rel=1e-12
         )
+
+    def test_fewer_than_two_usable_repeats_fails(
+        self, tmp_path, paper_config_path, monkeypatch, capsys
+    ):
+        # one repeat of two is not under half, but has no ensemble scatter
+        fits, dropped = fitter._trial_fits, task_seed(5, 1)
+
+        def drop_second(truth, seed):
+            return None if seed == dropped else fits(truth, seed)
+
+        monkeypatch.setattr(fitter, "_trial_fits", drop_second)
+        out = tmp_path / "exp"
+        args = ["experiment", "--config", str(paper_config_path), "--out-dir", str(out)]
+        assert cli.main(args + ["--n-repeats", "2", "--seed", "5"]) == 4
+        assert "fewer than 2 usable fits" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 class TestBiasCommand:
@@ -783,12 +809,29 @@ class TestFormatOption:
         (["experiment"], ("n_repeats = 100", "n_repeats = 100\nn_jobs = 0")),
         (["bias"], ("n_jobs = 2", "n_jobs = 0")),
         (["spectrum", "--halfwidth-hz", "inf"], None),
+        (["rates"], ("temperature_k = 7.0", "temperature_k = 7.0\nn_th = nan")),
+        (["rates"], ("n_extra = 0.0", "n_extra = nan")),
+        (["rates"], ("g0_hz = 30.0", "g0_hz = nan")),
+        (["rates"], ("delta_hz = 2.0e5", "delta_hz = inf")),
+        (["rates"], ("omega_m_hz = 530e3", "omega_m_hz = inf")),
+        (["rates"], ("alpha_in_minus = 1.63575e6, 0.0", "alpha_in_minus = nan, 0.0")),
+        (["rates"], ("alpha_in_plus  = 6.4957e5, 0.0", "alpha_in_plus  = inf, 0.0")),
+        (["rates"], ("temperature_k = 7.0", "temperature_k = inf")),
+        (["spectrum", "--gamma-eff-hz", "inf"], None),
+        (["spectrum", "--gamma-eff-hz", "nan"], None),
+        (["spectrum", "--gamma-eff-hz", "0"], None),
+        (["spectrum", "--n-bar", "inf"], None),
+        (["spectrum", "--center-hz", "inf"], None),
+        (["spectrum", "--s", "nan"], None),
+        (["bias"], ("gamma_eff_hz = 100.0\ndelta_lo_hz", "gamma_eff_hz = -5\ndelta_lo_hz")),
+        (["sweep"], ("stop = 4.0e5", "stop = inf")),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
     # an explicit 0 is not "unset", and a study too small for its statistics does not run;
     # neither does a negative occupancy, a resonance not at a positive frequency, a pool
-    # of no workers, or detection settings no spectrum can be drawn with
+    # of no workers, detection settings no spectrum can be drawn with, or a value that
+    # is not finite
     text = paper_config_path.read_text()
     if edit:
         assert edit[0] in text

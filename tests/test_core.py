@@ -63,6 +63,9 @@ class TestSystemParamsValidation:
             {"omega_m_hz": 0.0},
             {"gamma_m_hz": 0.0},
             {"n_th": -1.0},
+            {"n_th": math.nan},
+            {"delta_hz": math.inf},
+            {"n_th": None, "temperature_k": math.inf},
         ],
     )
     def test_invalid_parameters_rejected(self, overrides):

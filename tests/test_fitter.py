@@ -143,6 +143,12 @@ class TestDoublePairFit:
         assert result.params["s"] < 1e-6
         assert "s_at_lower_bound" in result.flags
 
+    @pytest.mark.parametrize("gamma_eff", [math.inf, math.nan])
+    def test_width_that_cannot_be_fitted_rejected(self, gamma_eff):
+        _, (on_data, _), _ = noiseless_pair(truth_for(0.53))
+        with pytest.raises(ValueError, match="gamma_eff_fixed"):
+            fit_double_pair(on_data, gamma_eff)
+
     def test_recovery_at_reference_point(self):
         truth = truth_for(0.53)
         values = []
@@ -337,6 +343,16 @@ class TestMasking:
         (off_data, _), _, _ = noiseless_pair(truth)
         with pytest.raises(GridError):
             apply_mask(off_data, [(CENTER_HZ + 1e6, CENTER_HZ + 1.1e6)])
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, math.nan), (math.nan, CENTER_HZ), (CENTER_HZ, math.nan)]
+    )
+    def test_window_edge_that_is_not_a_number_rejected(self, lo, hi):
+        # a NaN edge would otherwise mask nothing without a word
+        truth = truth_for(0.0)
+        (off_data, _), _, _ = noiseless_pair(truth)
+        with pytest.raises(GridError):
+            apply_mask(off_data, [(lo, hi)])
 
     def test_spike_masking_restores_fit(self):
         truth = truth_for(0.53)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -290,7 +289,7 @@ class TestQuadratureSeries:
     @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_chunks_do_not_move_a_bit(self, n):
         rng = np.random.default_rng(8)
-        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4, 8)
+        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4)
         for theta in (0.0, 0.7, -2.3):
             expected = (np.exp(1j * theta) * trace.samples).real
             assert np.array_equal(quadrature_series(trace, theta), expected)
@@ -298,7 +297,7 @@ class TestQuadratureSeries:
     def test_peak_memory(self):
         rng = np.random.default_rng(8)
         n = 200_000
-        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4, 8)
+        trace = EnvelopeTrace(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e-4)
         series, peak = traced_peak(quadrature_series, trace, 0.7)
         assert peak <= 1.3 * series.nbytes
 
@@ -370,56 +369,3 @@ class TestWelchPsd:
     def test_degenerate_segment_rejected(self, segment_length):
         with pytest.raises(GridError):
             welch_psd(np.zeros(100), segment_length=segment_length, dt=1e-3)
-
-
-class TestEnvelopeTraceIO:
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        trace = EnvelopeTrace(
-            samples=rng.standard_normal(64) + 1j * rng.standard_normal(64),
-            dt=1e-4,
-            seed=99,
-        )
-        path = tmp_path / "trace.bin"
-        trace.to_binary(path)
-        loaded = EnvelopeTrace.from_binary(path)
-        assert loaded.dt == trace.dt and loaded.seed == 99
-        assert np.array_equal(loaded.samples, trace.samples)
-
-    def test_special_values_round_trip(self, tmp_path):
-        samples = np.array(
-            [complex(-0.0, 1.0), complex(1.0, math.inf), complex(2.0, -math.inf),
-             complex(3.0, math.nan), complex(math.nan, -0.0), complex(-math.inf, 0.0)]
-        )
-        path = tmp_path / "trace.bin"
-        EnvelopeTrace(samples=samples, dt=1e-4, seed=3).to_binary(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            loaded = EnvelopeTrace.from_binary(path)
-        assert loaded.samples.tobytes() == samples.tobytes()
-
-    @pytest.mark.parametrize("cut", [1, 8, 16])
-    def test_truncated_file_raises(self, tmp_path, cut):
-        path = tmp_path / "trace.bin"
-        EnvelopeTrace(samples=np.arange(4) + 1j, dt=1e-4, seed=3).to_binary(path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(GridError):
-            EnvelopeTrace.from_binary(path)
-
-    @pytest.mark.parametrize(
-        "header",
-        [
-            b"",
-            b"sqzband-trace dt=1e-4 seed=3\n",
-            b"sqzband-trace dt=abc seed=3 length=0\n",
-            b"sqzband-trace dt=0.0 seed=3 length=0\n",
-            b"other-format dt=1e-4 seed=3 length=0\n",
-            b"sqzband-trace dt=1e-4 seed=3 length=0 junk\n",
-            b"\xff\xfe\n",
-        ],
-    )
-    def test_malformed_header_raises(self, tmp_path, header):
-        path = tmp_path / "trace.bin"
-        path.write_bytes(header)
-        with pytest.raises(GridError):
-            EnvelopeTrace.from_binary(path)

@@ -291,6 +291,8 @@ class TestOnOffPair:
         freq = 100.0 + 0.5 * np.arange(6)
         drawn = np.array([0, 1, 1, 0, 1, 0], dtype=bool)
         whole = synth_periodogram(np.full(6, 2.0), freq, n_avg=4, seed=9)
+        stream = np.random.default_rng(9).gamma(shape=4, scale=0.25, size=6)
+        assert whole.psd.tobytes() == (2.0 * stream).tobytes()
         part = synth_periodogram(np.full(3, 2.0), freq[drawn], n_avg=4, seed=9, drawn=drawn)
         assert np.array_equal(part.psd, whole.psd[drawn])
         with pytest.raises(GridError):
