@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: rates, spectrum, synth, fit, sweep, experiment, bias, rerun.
-Exit codes: 0 success, 2 config error, 3 instability, 4 fit-failure
-threshold exceeded.  Every command writes a manifest.json from which
-`sqzband rerun` reproduces the numeric outputs byte-identically (the
-default output directory comes from $SQZBAND_OUT_DIR).
+Exit codes: 0 success, 1 data or grid error, 2 config or usage error, 3
+instability (also an operating point the closed forms cannot represent in
+floating point), 4 fit-failure threshold exceeded.  Every command writes a
+manifest.json from which `sqzband rerun` reproduces the numeric outputs
+byte-identically (the default output directory comes from $SQZBAND_OUT_DIR).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .core import TWO_PI, DerivedRates, derive_all
+from .core import POSITIVE, TWO_PI, DerivedRates, at_least, check_value, derive_all
 from .data import SpectrumData
 from .errors import ConfigError, FitFailureError, SqzbandError, StabilityError
 from .fitter import ExperimentTruth, bias_study, fit_pair_two_stage, recovery_campaign
@@ -466,6 +467,16 @@ def cmd_rerun(args) -> int:
     return main(argv)
 
 
+def _checked(cast, domain):
+    """argparse type: the flag's text cast and checked against a declared domain."""
+
+    def parse(text):
+        return check_value("value", cast(text), domain, argparse.ArgumentTypeError)
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqzband",
@@ -492,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--gamma-eff-hz", type=float, default=None)
     p.add_argument("--center-hz", type=float, default=None)
-    p.add_argument("--halfwidth-hz", type=float, default=None)
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--halfwidth-hz", type=_checked(float, POSITIVE), default=None)
+    p.add_argument("--points", type=_checked(int, at_least(2)), default=2001)
     p.add_argument("--log-y", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="output directory")
     p.add_argument("--off", required=True, help="drive-off spectrum CSV")
     p.add_argument("--on", default=None, help="drive-on spectrum CSV")
-    p.add_argument("--ratio-correction", type=float, default=1.0)
+    p.add_argument("--ratio-correction", type=_checked(float, POSITIVE), default=1.0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", help="parameter sweep from the [sweep] section")
@@ -562,15 +573,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "spectrum":
-        if args.log_y and args.format != "svg":
-            parser.error("--log-y applies to the plot: add --format svg")
-        if args.points < 2:
-            parser.error("--points must be at least 2")
-        if args.halfwidth_hz is not None and not 0 < args.halfwidth_hz < math.inf:
-            parser.error("--halfwidth-hz must be positive and finite")
-    if args.command == "fit" and not 0 < args.ratio_correction < math.inf:
-        parser.error("--ratio-correction must be positive and finite")
+    if args.command == "spectrum" and args.log_y and args.format != "svg":
+        parser.error("--log-y applies to the plot: add --format svg")
     try:
         return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
     except ConfigError as exc:

@@ -8,8 +8,10 @@ configure synthesis, campaigns and sweeps and are optional; each holds one
 key per field of its settings dataclass ([bias] also those of [detection]),
 whose defaults are the only defaults; [sweep] start and stop have none and
 are required.  A key that no setting reads (a misspelled key, or any key of
-a misspelled section) is a ConfigError, and so is a physics value, a model
-truth or a sweep range that is not finite.
+a misspelled section) is a ConfigError, and so is a value outside the domain
+its dataclass field declares, a broken cross-field rule, and physics values
+whose conversion to rates fails in floating point (a zero quality_factor, a
+bath occupancy out of range).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .core import PumpConfig, SystemParams
+from .core import FINITE, NONNEGATIVE, POSITIVE, PumpConfig, SystemParams
+from .core import at_least, check_domains, check_value
 from .errors import ConfigError
 from .fitter import MIN_BIAS_TRIALS
 from .synthesizer import DetectionConfig
@@ -41,70 +44,47 @@ def _s_table(text: str) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    start: float
-    stop: float
+    start: float = field(metadata=FINITE)
+    stop: float = field(metadata=FINITE)
     axis: str = "detuning_delta"
-    n_points: int = 21
+    n_points: int = field(default=21, metadata=at_least(2))
     # (gamma_eff_hz, s) overrides on the gamma_eff axis
     s_table: tuple[tuple[float, float], ...] = field(default=(), metadata={"cast": _s_table})
 
     def __post_init__(self):
+        check_domains(self, ConfigError)
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; one of {SWEEP_AXES}")
-        if not -math.inf < self.start < self.stop < math.inf:
-            raise ConfigError("sweep start must be below stop, both finite")
-        if self.n_points < 2:
-            raise ConfigError("sweep needs at least 2 points")
+        if not self.start < self.stop:
+            raise ConfigError("sweep start must be below stop")
         if self.s_table and self.axis != "gamma_eff":
             raise ConfigError(f"s_table: not read on the {self.axis} axis")
 
 
-def _check_shared(settings) -> None:
-    """What [experiment] and [bias] share: a model truth with a finite
-    occupancy the sidebands can have, a positive finite width and a resonance
-    at a positive finite frequency, and a pool of at least one worker."""
-    if not 0 <= settings.n_bar < math.inf:
-        raise ConfigError(f"n_bar must be nonnegative and finite, got {settings.n_bar}")
-    if not 0 < settings.gamma_eff_hz < math.inf:
-        raise ConfigError(f"gamma_eff_hz must be positive and finite, got {settings.gamma_eff_hz}")
-    if not 0 < settings.center_hz < math.inf:
-        raise ConfigError(f"center_hz must be positive and finite, got {settings.center_hz}")
-    if settings.n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {settings.n_jobs}")
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
-    n_bar: float = 5.8
-    s: float = 0.53
-    gamma_eff_hz: float = 100.0
-    phi_deg: float = 0.0
-    center_hz: float = 530e3
-    n_repeats: int = 100
-    n_jobs: int = 1
+    n_bar: float = field(default=5.8, metadata=NONNEGATIVE)
+    s: float = field(default=0.53, metadata=FINITE)
+    gamma_eff_hz: float = field(default=100.0, metadata=POSITIVE)
+    phi_deg: float = field(default=0.0, metadata=FINITE)
+    center_hz: float = field(default=530e3, metadata=POSITIVE)
+    n_repeats: int = field(default=100, metadata=at_least(2))
+    n_jobs: int = field(default=1, metadata=at_least(1))
 
     def __post_init__(self):
-        _check_shared(self)
-        if not math.isfinite(self.s):
-            raise ConfigError(f"s must be finite, got {self.s}")
-        if self.n_repeats < 2:
-            raise ConfigError(f"a campaign needs n_repeats >= 2, got {self.n_repeats}")
+        check_domains(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class BiasSettings:
-    n_trials: int = 6000
-    n_bar: float = 5.8
-    gamma_eff_hz: float = 100.0
-    center_hz: float = 530e3
-    n_jobs: int = 1
+    n_trials: int = field(default=6000, metadata=at_least(MIN_BIAS_TRIALS))
+    n_bar: float = field(default=5.8, metadata=NONNEGATIVE)
+    gamma_eff_hz: float = field(default=100.0, metadata=POSITIVE)
+    center_hz: float = field(default=530e3, metadata=POSITIVE)
+    n_jobs: int = field(default=1, metadata=at_least(1))
 
     def __post_init__(self):
-        _check_shared(self)
-        if self.n_trials < MIN_BIAS_TRIALS:
-            raise ConfigError(
-                f"a bias study needs n_trials >= {MIN_BIAS_TRIALS}, got {self.n_trials}"
-            )
+        check_domains(self, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -128,9 +108,8 @@ def _amplitude(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'magnitude, phase_degrees', got {text!r}")
-    mag, deg = float(parts[0]), float(parts[1])
-    if not (0 <= mag < math.inf and math.isfinite(deg)):
-        raise ValueError("magnitude must be nonnegative and finite, phase finite")
+    mag = check_value("magnitude", float(parts[0]), NONNEGATIVE)
+    deg = check_value("phase", float(parts[1]), FINITE)
     return mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
 
 
@@ -186,8 +165,6 @@ def load_config(path) -> RunConfig:
     quality = _get("mechanics", "quality_factor")
     if (gamma_m_hz is None) == (quality is None):
         raise ConfigError("[mechanics] needs gamma_m_hz or quality_factor, not both")
-    if gamma_m_hz is None:
-        gamma_m_hz = omega_m_hz / quality
 
     n_th = _get("bath", "n_th")
     temperature = _get("bath", "temperature_k")
@@ -200,14 +177,14 @@ def load_config(path) -> RunConfig:
             kappa_in_hz=_get("cavity", "kappa_in_hz"),
             g0_hz=_get("cavity", "g0_hz", required=True),
             omega_m_hz=omega_m_hz,
-            gamma_m_hz=gamma_m_hz,
+            gamma_m_hz=omega_m_hz / quality if gamma_m_hz is None else gamma_m_hz,
             delta_hz=_get("pump", "delta_hz", required=True),
             n_th=n_th,
             temperature_k=temperature,
             n_extra=_get("bath", "n_extra", default=0.0),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"physics values out of range: {exc}") from None
 
     pump = PumpConfig(
         alpha_in_minus=_get("pump", "alpha_in_minus", cast=_amplitude, default=0j),

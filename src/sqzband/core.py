@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import (
     AntiDampingError,
     InternalConsistencyError,
     ParametricInstabilityError,
     SelfConsistencyError,
+    StabilityError,
     ZeroPumpError,
 )
 
@@ -35,6 +36,32 @@ k_B = 1.380649e-23  # J/K
 
 # relative tolerance for the A- - A+ = Gamma_opt identity check
 _IDENTITY_RTOL = 1e-10
+
+# Declared domains for field(metadata=...): finite, and above `low` (or at it unless strict)
+FINITE = {"domain": (-math.inf, True)}
+POSITIVE = {"domain": (0.0, True)}
+NONNEGATIVE = {"domain": (0.0, False)}
+
+
+def at_least(low) -> dict:
+    return {"domain": (low, False)}
+
+
+def check_value(name: str, value, domain: dict, error=ValueError):
+    """`value` if it lies in `domain` (one of the above), else `error` naming it."""
+    low, strict = domain["domain"]
+    finite = isinstance(value, int) or math.isfinite(value)
+    if not (finite and (value > low if strict else value >= low)):
+        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        raise error(f"{name} must be finite{bound}, got {value}")
+    return value
+
+
+def check_domains(obj, error=ValueError) -> None:
+    """Each field of dataclass `obj` that declares a domain, checked (None is unset)."""
+    for f in fields(obj):
+        if "domain" in f.metadata and getattr(obj, f.name) is not None:
+            check_value(f.name, getattr(obj, f.name), f.metadata, error)
 
 
 @dataclass(frozen=True)
@@ -51,31 +78,19 @@ class SystemParams:
     n_extra        additive occupancy for unmodelled back-action (default 0)
     """
 
-    kappa: float
-    kappa_in: float
-    g0: float
-    omega_m0: float
-    gamma_m: float
-    delta: float
-    n_th: float
-    n_extra: float = 0.0
+    kappa: float = field(metadata=POSITIVE)
+    kappa_in: float = field(metadata=POSITIVE)
+    g0: float = field(metadata=NONNEGATIVE)
+    omega_m0: float = field(metadata=POSITIVE)
+    gamma_m: float = field(metadata=POSITIVE)
+    delta: float = field(metadata=FINITE)
+    n_th: float = field(metadata=NONNEGATIVE)
+    n_extra: float = field(default=0.0, metadata=FINITE)
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not 0 < self.kappa_in <= self.kappa:
-            raise ValueError("kappa_in must satisfy 0 < kappa_in <= kappa")
-        if not self.omega_m0 > 0:
-            raise ValueError("omega_m0 must be positive")
-        if not self.gamma_m > 0:
-            raise ValueError("gamma_m must be positive")
-        if self.n_th < 0:
-            raise ValueError("n_th must be nonnegative")
-        if self.g0 < 0:
-            raise ValueError("g0 must be nonnegative")
+        check_domains(self)
+        if not self.kappa_in <= self.kappa:
+            raise ValueError("kappa_in must not exceed kappa")
 
     @classmethod
     def from_hz(
@@ -159,6 +174,11 @@ class IntracavityField:
             raise ValueError("g must be >= 0 and epsilon_c in [0, 1]")
 
 
+# the rates whose squares the closed forms take: each square must be finite,
+# and nonzero unless the rate is 0; the occupancy's square must be finite
+_RATES = ("omega_m", "gamma_opt", "gamma_eff", "gamma_plus", "gamma_minus", "a_minus", "a_plus")
+
+
 @dataclass(frozen=True)
 class DerivedRates:
     """All derived rates for one operating point (angular units).
@@ -184,6 +204,11 @@ class DerivedRates:
     anomalous: complex
 
     def __post_init__(self):
+        for name in (*_RATES, "n_bar"):
+            value = float(getattr(self, name))  # a float overflows to inf without a warning
+            square = value * value
+            if not math.isfinite(square) or (square == 0 and value != 0 and name in _RATES):
+                raise StabilityError(f"{name} = {value!r}: its square leaves floating-point range")
         if not self.gamma_eff > 0:
             raise AntiDampingError("gamma_eff must be positive")
         if not abs(self.s) < 1:
@@ -192,6 +217,11 @@ class DerivedRates:
             raise InternalConsistencyError("gamma_plus != gamma_eff * (1 + s)")
         if abs(self.gamma_minus - self.gamma_eff * (1 - self.s)) > 1e-12 * self.gamma_eff:
             raise InternalConsistencyError("gamma_minus != gamma_eff * (1 - s)")
+        # a violation beyond rounding means the two code paths diverged
+        scale = max(self.a_minus, self.a_plus)
+        gap = abs(self.gamma_opt - (self.a_minus - self.a_plus))
+        if scale > 0 and gap > _IDENTITY_RTOL * scale:
+            raise InternalConsistencyError("A- - A+ does not reproduce Gamma_opt")
 
     @property
     def s_folded(self) -> float:
@@ -245,8 +275,8 @@ class DerivedRates:
 
 def thermal_occupation(temperature: float, omega: float) -> float:
     """Bose-Einstein occupancy 1 / (exp(hbar omega / kB T) - 1)."""
-    if not (0 < temperature < math.inf and 0 < omega < math.inf):
-        raise ValueError("temperature and omega must be positive and finite")
+    check_value("temperature", temperature, POSITIVE)
+    check_value("omega", omega, POSITIVE)
     # expm1 keeps the high-temperature limit accurate (x ~ 1e-6 is typical)
     return 1.0 / math.expm1(hbar * omega / (k_B * temperature))
 
@@ -258,8 +288,7 @@ def intracavity_amplitudes(
 
     alpha_pm = alpha_pm_in sqrt(kappa_in) / (-i(Delta pm Omega_m) + kappa/2)
     """
-    if omega_m <= 0:
-        raise ValueError("omega_m must be positive")
+    check_value("omega_m", omega_m, POSITIVE)
     if pump.total_flux == 0:
         raise ZeroPumpError("zero total pump power: epsilon_c undefined")
     root_kin = math.sqrt(params.kappa_in)
@@ -372,8 +401,7 @@ def scattering_rates(
 
     A- = g0^2 kappa [ |a_-|^2/D0 + |a_+|^2/Dp ]
     A+ = g0^2 kappa [ |a_-|^2/Dm + |a_+|^2/D0 ]
-    The difference must reproduce Gamma_opt; a violation beyond rounding
-    means the two code paths diverged and is raised as an internal error.
+    DerivedRates checks that the difference reproduces Gamma_opt.
     """
     d0, dm, dp = _sideband_denominators(params.kappa, params.delta, omega_m)
     gk = params.g0**2 * params.kappa
@@ -381,10 +409,6 @@ def scattering_rates(
     p_plus = abs(field.alpha_plus) ** 2
     a_minus = gk * (p_minus / d0 + p_plus / dp)
     a_plus = gk * (p_minus / dm + p_plus / d0)
-    gamma_opt = optical_damping(params, field, omega_m)
-    scale = max(a_minus, a_plus)
-    if scale > 0 and abs(gamma_opt - (a_minus - a_plus)) > _IDENTITY_RTOL * scale:
-        raise InternalConsistencyError("A- - A+ does not reproduce Gamma_opt")
     return a_minus, a_plus
 
 
@@ -406,43 +430,43 @@ def occupancy(
 
 
 def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
-    """Complete set of derived rates with all stability checks enforced."""
-    omega_m = self_consistent_frequency(params, pump)
-    field = intracavity_amplitudes(params, pump, omega_m)
-    gamma_opt = optical_damping(params, field, omega_m)
-    gamma_eff = params.gamma_m + gamma_opt
-    if gamma_eff <= 0:
-        raise AntiDampingError(
-            f"gamma_eff = {gamma_eff:.3e} rad/s <= 0: pump anti-damps the oscillator"
+    """Complete set of derived rates with all stability checks enforced; closed
+    forms that leave floating-point range raise StabilityError."""
+    try:
+        omega_m = self_consistent_frequency(params, pump)
+        field = intracavity_amplitudes(params, pump, omega_m)
+        gamma_opt = optical_damping(params, field, omega_m)
+        gamma_eff = params.gamma_m + gamma_opt
+        if gamma_eff <= 0:
+            raise AntiDampingError(
+                f"gamma_eff = {gamma_eff:.3e} rad/s <= 0: pump anti-damps the oscillator"
+            )
+        gamma_par, phi = parametric_rate(params, field, omega_m)
+        a_minus, a_plus = scattering_rates(params, field, omega_m)
+        s = gamma_par / gamma_eff
+        if abs(s) >= 1:
+            raise ParametricInstabilityError(
+                f"|s| = {abs(s):.4f} >= 1: the system is stable for s < 1"
+            )
+        n_ba, n_bar = occupancy(params, gamma_eff=gamma_eff, a_plus=a_plus, gamma_opt=gamma_opt)
+        d0, _, _ = _sideband_denominators(params.kappa, params.delta, omega_m)
+        anomalous = (
+            -params.g0**2 * params.kappa * field.alpha_minus.conjugate() * field.alpha_plus / d0
         )
-    gamma_par, phi = parametric_rate(params, field, omega_m)
-    a_minus, a_plus = scattering_rates(params, field, omega_m)
-    s = gamma_par / gamma_eff
-    if abs(s) >= 1:
-        raise ParametricInstabilityError(
-            f"|s| = {abs(s):.4f} >= 1: the system is stable for s < 1"
+        return DerivedRates(
+            omega_m=omega_m,
+            gamma_opt=gamma_opt,
+            gamma_eff=gamma_eff,
+            gamma_par=gamma_par,
+            phi=phi,
+            s=s,
+            gamma_plus=gamma_eff * (1 + s),
+            gamma_minus=gamma_eff * (1 - s),
+            a_minus=a_minus,
+            a_plus=a_plus,
+            n_ba=n_ba,
+            n_bar=n_bar,
+            anomalous=anomalous,
         )
-    n_ba, n_bar = occupancy(params, gamma_eff=gamma_eff, a_plus=a_plus, gamma_opt=gamma_opt)
-    d0, _, _ = _sideband_denominators(params.kappa, params.delta, omega_m)
-    anomalous = (
-        -params.g0**2
-        * params.kappa
-        * field.alpha_minus.conjugate()
-        * field.alpha_plus
-        / d0
-    )
-    return DerivedRates(
-        omega_m=omega_m,
-        gamma_opt=gamma_opt,
-        gamma_eff=gamma_eff,
-        gamma_par=gamma_par,
-        phi=phi,
-        s=s,
-        gamma_plus=gamma_eff * (1 + s),
-        gamma_minus=gamma_eff * (1 - s),
-        a_minus=a_minus,
-        a_plus=a_plus,
-        n_ba=n_ba,
-        n_bar=n_bar,
-        anomalous=anomalous,
-    )
+    except ArithmeticError as exc:
+        raise StabilityError(f"the closed forms leave floating-point range: {exc}") from None

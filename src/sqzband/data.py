@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, at_least, check_value
 from .errors import GridError
 from .io import write_csv
 
@@ -64,8 +64,7 @@ class SpectrumData:
         object.__setattr__(self, "k", _lattice_index(freq))
         if np.any(psd < 0):
             raise ValueError("psd must be nonnegative")
-        if self.n_avg < 1:
-            raise ValueError("n_avg must be >= 1")
+        check_value("n_avg", self.n_avg, at_least(1))
         mask = self.mask
         if mask is None:
             mask = np.zeros(freq.shape, dtype=bool)

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, DerivedRates
+from .core import POSITIVE, TWO_PI, DerivedRates, at_least, check_value
 from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios, lorentzian
@@ -109,7 +109,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ExperimentTruth:
-    """Model-level truth for synthetic campaigns (rates in rad/s)."""
+    """Model-level truth for synthetic campaigns (gamma_eff in rad/s, center_hz in Hz)."""
 
     gamma_eff: float
     s: float
@@ -513,9 +513,7 @@ def fit_double_pair(
     dict with center_1_hz and center_2_hz, sets the starting centres; the
     start of s always comes from a coarse s scan.
     """
-    gamma_eff_hz = gamma_eff_fixed / TWO_PI
-    if not 0 < gamma_eff_hz < math.inf:
-        raise ValueError("gamma_eff_fixed must be positive and finite")
+    gamma_eff_hz = check_value("gamma_eff_fixed", gamma_eff_fixed, POSITIVE) / TWO_PI
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
     model = _TwoPairModel(gamma_eff_hz, freq.size)
@@ -611,8 +609,7 @@ def bias_study(
     """
     if truth.s != 0:
         raise ValueError("bias study is defined for s = 0 truth")
-    if n_trials < MIN_BIAS_TRIALS:
-        raise ValueError(f"need at least {MIN_BIAS_TRIALS} trials for reported moments")
+    check_value("n_trials", n_trials, at_least(MIN_BIAS_TRIALS))
     results = _run_trials(truth, n_trials, root_seed, n_jobs, chunksize=32)
     values = np.array([fits[1].params["s"] for fits in results if fits is not None], dtype=float)
     n_failed = n_trials - values.size

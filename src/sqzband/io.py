@@ -92,7 +92,7 @@ class RunManifest:
 
     command: str
     config_snapshot: dict
-    root_seed: int
+    root_seed: int | None  # None for commands that draw no random numbers
     tool_version: str
     arguments: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedRates
+from .core import POSITIVE, DerivedRates, check_value
 from .errors import GridError, InternalConsistencyError
 
 
@@ -263,8 +263,7 @@ def heterodyne_composite(
     PSD(w) = floor + calibration * [S_stokes(w - W_m - D_lo) + S_anti(w - W_m + D_lo)]
     (Stokes sits above the mechanical frequency, anti-Stokes below).
     """
-    if delta_lo <= 0:
-        raise ValueError("delta_lo must be positive")
+    check_value("delta_lo", delta_lo, POSITIVE)
     grid = np.asarray(grid, dtype=float)
     center_stokes = rates.omega_m + delta_lo
     center_anti = rates.omega_m - delta_lo

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedRates, SystemParams
+from .core import POSITIVE, DerivedRates, SystemParams, check_value
 from .data import SpectrumData
 from .errors import GridError, ParametricInstabilityError
 
@@ -178,8 +178,7 @@ class EnvelopeTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_value("dt", self.dt, POSITIVE)
 
 
 def _contract(left: np.ndarray, right: np.ndarray, corr: np.ndarray) -> np.ndarray:

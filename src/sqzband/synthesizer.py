@@ -25,16 +25,20 @@ coherent parametric rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TWO_PI, DerivedRates, PumpConfig, SystemParams, derive_all
+from .core import NONNEGATIVE, POSITIVE, TWO_PI, DerivedRates, PumpConfig, SystemParams
+from .core import at_least, check_domains, check_value, derive_all
 from .data import OnOffPair, SpectrumData
 from .errors import GridError
 from .lineshape import heterodyne_composite
 from .oracle import EnvelopeTrace, sde_simulate, welch_psd
 from .seeding import task_rng, task_seed
+
+# largest synthesis grid: 88x paper.ini's 113 003 bins, 80 MB per float64 array
+MAX_GRID_BINS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -45,30 +49,29 @@ class DetectionConfig:
     so the drive-off Stokes peak sits `snr` times above the floor.
     `band_halfwidth_hz` sets the fitted window around each sideband center;
     synthetic spectra hold only the grid bins inside the two windows,
-    emulating the restricted fit regions of the analysis.  Settings no
-    spectrum can be drawn with raise ValueError (a ConfigError when read
-    from a config file).
+    emulating the restricted fit regions of the analysis.  Besides each
+    field's domain, the grid may hold MAX_GRID_BINS bins, and a band must span
+    3 bins either side of its center (the fitter's 7-bin smoothing kernel);
+    ValueError otherwise (a ConfigError when read from a config file).
     """
 
-    delta_lo_hz: float = 11e3
-    resolution_hz: float = 0.2
-    band_halfwidth_hz: float = 300.0
-    floor: float = 1.0
-    snr: float = 30.0
-    calibration: float | None = None
-    n_avg: int = 10
+    delta_lo_hz: float = field(default=11e3, metadata=POSITIVE)
+    resolution_hz: float = field(default=0.2, metadata=POSITIVE)
+    band_halfwidth_hz: float = field(default=300.0, metadata=POSITIVE)
+    floor: float = field(default=1.0, metadata=NONNEGATIVE)
+    snr: float = field(default=30.0, metadata=NONNEGATIVE)
+    calibration: float | None = field(default=None, metadata=NONNEGATIVE)
+    n_avg: int = field(default=10, metadata=at_least(1))
 
     def __post_init__(self):
-        if not (0 < self.delta_lo_hz < math.inf and 0 < self.resolution_hz < math.inf):
-            raise ValueError("delta_lo_hz and resolution_hz must be positive and finite")
-        if not 0 < self.band_halfwidth_hz < self.delta_lo_hz:
-            raise ValueError("band_halfwidth_hz must be positive and below delta_lo_hz")
-        if self.n_avg < 1:
-            raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
-        for name in ("floor", "snr", "calibration"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        check_domains(self)
+        if not self.band_halfwidth_hz < self.delta_lo_hz:
+            raise ValueError("band_halfwidth_hz must be below delta_lo_hz")
+        if not self.band_halfwidth_hz / self.resolution_hz >= 3 - 1e-9:  # 0.6 / 0.2 < 3
+            raise ValueError("band_halfwidth_hz must span 3 resolution_hz: the fit needs 7 bins")
+        span = (self.delta_lo_hz + self.band_halfwidth_hz) / self.resolution_hz
+        if not 2 * span + 3 <= MAX_GRID_BINS:
+            raise ValueError(f"the synthesis grid needs more than {MAX_GRID_BINS} bins")
 
     @property
     def delta_lo(self) -> float:
@@ -119,8 +122,7 @@ def synth_periodogram(
     which other bins are kept.  None draws on the bins alone, one variate
     per bin.
     """
-    if n_avg < 1:
-        raise ValueError("n_avg must be >= 1")
+    check_value("n_avg", n_avg, at_least(1))
     freq_hz = np.asarray(freq_hz, dtype=float)
     truth = np.asarray(mean_psd, dtype=float)
     if np.any(truth < 0):
@@ -204,8 +206,7 @@ def segment_average(samples, segment_seconds: float, *, dt: float) -> SpectrumDa
     1/segment_seconds.  The segment length must land on the sample grid.
     Complex samples yield a two-sided spectrum, real ones one-sided.
     """
-    if not 0 < segment_seconds < math.inf:
-        raise GridError("segment_seconds must be positive and finite")
+    check_value("segment_seconds", segment_seconds, POSITIVE, GridError)
     n_per = segment_seconds / dt
     if abs(n_per - round(n_per)) > 1e-9 * n_per:
         raise GridError("segment_seconds is not an integer number of samples")

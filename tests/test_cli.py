@@ -823,8 +823,6 @@ class TestFormatOption:
         (["spectrum", "--n-bar", "inf"], None),
         (["spectrum", "--center-hz", "inf"], None),
         (["spectrum", "--s", "nan"], None),
-        (["bias"], ("gamma_eff_hz = 100.0\ndelta_lo_hz", "gamma_eff_hz = -5\ndelta_lo_hz")),
-        (["sweep"], ("stop = 4.0e5", "stop = inf")),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.constants import hbar, k as k_B
 from conftest import TWO_PI, sample_stable_rates, sample_system
 from sqzband import core
 from sqzband.core import (
+    DerivedRates,
     IntracavityField,
     PumpConfig,
     SystemParams,
@@ -24,6 +26,8 @@ from sqzband.errors import (
     AntiDampingError,
     ParametricInstabilityError,
     SelfConsistencyError,
+    SqzbandError,
+    StabilityError,
     ZeroPumpError,
 )
 
@@ -85,13 +89,11 @@ class TestSystemParamsValidation:
         assert params.kappa_in == pytest.approx(params.kappa / 2, rel=1e-12)
 
     def test_extra_occupancy_enters_n_bar_and_correlators(self, paper_run_config):
-        from dataclasses import replace as dc_replace
-
         from sqzband.oracle import NoiseCorrelators
 
         cfg = paper_run_config
         base = derive_all(cfg.params, cfg.pump)
-        bumped_params = dc_replace(cfg.params, n_extra=2.0)
+        bumped_params = replace(cfg.params, n_extra=2.0)
         bumped = derive_all(bumped_params, cfg.pump)
         assert bumped.n_bar == pytest.approx(base.n_bar + 2.0, rel=1e-12)
         corr = NoiseCorrelators.from_params(bumped_params, bumped)
@@ -343,6 +345,45 @@ class TestDeriveAll:
         pump = PumpConfig(-2040004.57 + 95976.25j, -167362.95 - 310188.59j)
         with pytest.raises(SelfConsistencyError):
             derive_all(params, pump)
+
+    @pytest.mark.parametrize(
+        "name, value", [("g0", 1e300), ("kappa", 1e300), ("delta", 1e300), ("omega_m0", 1e-300)]
+    )
+    def test_rates_out_of_floating_point_range_are_typed(self, paper_run_config, name, value):
+        # an overflow or a division by an underflowed power is an operating point
+        # the model cannot represent, never a bare ArithmeticError
+        params = replace(paper_run_config.params, **{name: value})
+        with pytest.raises(SqzbandError):
+            derive_all(params, paper_run_config.pump)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("gamma_eff", 1e-300), ("gamma_eff", 1e200), ("omega_m", 1e-300), ("n_bar", 1e200)],
+    )
+    def test_rate_whose_square_leaves_range_rejected(self, name, value):
+        kwargs = {"gamma_eff": 100.0, "s": 0.5, name: value}
+        with pytest.raises(StabilityError, match="square"):
+            DerivedRates.from_effective(**kwargs)
+
+    def test_zero_rates_and_tiny_occupancy_stay_valid(self):
+        # from_effective leaves omega_m, gamma_opt and A+- at 0; n_bar only overflows
+        rates = DerivedRates.from_effective(100.0, 1e-300, n_bar=1e-300)
+        assert (rates.omega_m, rates.gamma_opt, rates.a_minus, rates.a_plus) == (0, 0, 0, 0)
+
+    def test_accepted_draws_unchanged_by_the_range_rules(self):
+        # the floating-point range rules reject none of the sampled configurations:
+        # the same 1263 of 2000 draws pass (index sum pinned), so rejection
+        # samplers keep drawing the same configurations
+        rng = np.random.default_rng(2000)
+        accepted = []
+        for i in range(2000):
+            params, pump = sample_system(rng)
+            try:
+                derive_all(params, pump)
+            except SqzbandError:
+                continue
+            accepted.append(i)
+        assert (len(accepted), sum(accepted)) == (1263, 1246844)
 
     def test_single_tone_gives_zero_s(self, paper_run_config):
         pump = PumpConfig(paper_run_config.pump.alpha_in_minus, 0.0)

@@ -486,8 +486,8 @@ class TestDegenerateSpectra:
             fit_double_pair(data, TWO_PI * 100.0)
 
     def test_failed_trials_counted_not_raised(self):
-        # 0.25 Hz half-width bands hold 3 bins each, too few to fit
-        det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=0.25, snr=30.0, n_avg=10)
+        # no floor and no gain: every spectrum is zero, and no fit of it succeeds
+        det = DetectionConfig(delta_lo_hz=1.1e3, floor=0.0, calibration=0.0, n_avg=10)
         truth = truth_for(0.53, detection=det)
         assert fitter._trial_fits(truth, task_seed(1, 0)) is None
         with pytest.raises(FitFailureError, match="more than half"):

@@ -336,6 +336,27 @@ class TestOnOffPair:
         peak = cal * 4 * (5.8 + 1) / rates.gamma_eff
         assert peak == pytest.approx(30.0 * auto.floor, rel=1e-12)
 
+    @pytest.mark.parametrize("resolution_hz, accepted", [(0.0025, True), (0.002, False)])
+    def test_grid_beyond_the_bound_rejected(self, resolution_hz, accepted):
+        # paper.ini's offsets: 9.04e6 bins at 2.5 mHz, 1.13e7 at 2 mHz (bound 1e7)
+        kwargs = {"delta_lo_hz": 11e3, "band_halfwidth_hz": 300.0, "resolution_hz": resolution_hz}
+        if accepted:
+            DetectionConfig(**kwargs)
+        else:
+            with pytest.raises(ValueError, match="synthesis grid"):
+                DetectionConfig(**kwargs)
+
+    @pytest.mark.parametrize("halfwidth_hz, accepted", [(0.6, True), (0.5, False), (0.25, False)])
+    def test_band_narrower_than_the_fit_kernel_rejected(self, halfwidth_hz, accepted):
+        kwargs = {"delta_lo_hz": 1.1e3, "band_halfwidth_hz": halfwidth_hz}
+        if accepted:
+            det = DetectionConfig(**kwargs)
+            freq = synthetic_grid_hz(530e3, det)
+            assert np.count_nonzero(~band_mask(freq, 530e3 + 1.1e3, halfwidth_hz)) == 7
+        else:
+            with pytest.raises(ValueError, match="7 bins"):
+                DetectionConfig(**kwargs)
+
     def test_grid_helper_covers_bands(self):
         det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=300.0)
         freq = synthetic_grid_hz(530e3, det)
