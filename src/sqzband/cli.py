@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .core import POSITIVE, TWO_PI, DerivedRates, at_least, check_value, derive_all
+from .core import POSITIVE, TWO_PI, DerivedRates, at_least, check_value, derive_all, in_float_range
 from .data import SpectrumData
 from .errors import ConfigError, FitFailureError, SqzbandError, StabilityError
 from .fitter import ExperimentTruth, bias_study, fit_pair_two_stage, recovery_campaign
@@ -129,15 +129,27 @@ def _model_rates_from_args(args, cfg: RunConfig) -> tuple[DerivedRates, float]:
 
 
 def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
-    rates, n_bar = _model_rates_from_args(args, cfg)
-
-    half = 8 * rates.gamma_eff / TWO_PI if args.halfwidth_hz is None else args.halfwidth_hz
-    offsets_hz = np.linspace(-half, half, args.points)
-    grid = TWO_PI * offsets_hz
-    stokes = stokes_spectrum(rates, n_bar, grid)
-    anti = antistokes_spectrum(rates, n_bar, grid)
-    y_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2, grid)
-    x_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2 + math.pi / 2, grid)
+    with in_float_range():
+        rates, n_bar = _model_rates_from_args(args, cfg)
+        half = 8 * rates.gamma_eff / TWO_PI if args.halfwidth_hz is None else args.halfwidth_hz
+        offsets_hz = np.linspace(-half, half, args.points)
+        grid = TWO_PI * offsets_hz
+        stokes = stokes_spectrum(rates, n_bar, grid)
+        anti = antistokes_spectrum(rates, n_bar, grid)
+        y_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2, grid)
+        x_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2 + math.pi / 2, grid)
+        # absolute-frequency two-sideband composite at the detection settings
+        comp_freq = rates.omega_m / TWO_PI + np.linspace(
+            -(cfg.detection.delta_lo_hz + half), cfg.detection.delta_lo_hz + half, args.points
+        )
+        _, comp_psd = heterodyne_composite(
+            rates,
+            n_bar,
+            cfg.detection.delta_lo,
+            cfg.detection.resolve_calibration(rates.without_parametric_drive(), n_bar),
+            cfg.detection.floor,
+            TWO_PI * comp_freq,
+        )
 
     comps = {
         "stokes": sideband_components(rates, n_bar, stokes=True),
@@ -184,18 +196,6 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
             },
             comments,
         )
-    )
-    # absolute-frequency two-sideband composite at the detection settings
-    comp_freq = rates.omega_m / TWO_PI + np.linspace(
-        -(cfg.detection.delta_lo_hz + half), cfg.detection.delta_lo_hz + half, args.points
-    )
-    _, comp_psd = heterodyne_composite(
-        rates,
-        n_bar,
-        cfg.detection.delta_lo,
-        cfg.detection.resolve_calibration(rates.without_parametric_drive(), n_bar),
-        cfg.detection.floor,
-        TWO_PI * comp_freq,
     )
     manifest.record(
         write_csv(

@@ -206,6 +206,8 @@ def load_config(path) -> RunConfig:
     # (the noise level of those spectra is not published; the protocol's
     # n_avg = 10 reproduces the experimental-ensemble scatter instead).
     bias_detection = _settings(DetectionConfig, "bias", delta_lo_hz=1.1e3, n_avg=1200)
+    detection.check_center("[experiment] center_hz", experiment.center_hz, ConfigError)
+    bias_detection.check_center("[bias] center_hz", bias.center_hz, ConfigError)
 
     sweep = _settings(SweepSettings, "sweep") if parser.has_section("sweep") else None
 

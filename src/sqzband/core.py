@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from .errors import (
     AntiDampingError,
@@ -152,26 +155,25 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class IntracavityField:
-    """Steady-state intracavity tone amplitudes and the derived couplings.
+    """Steady-state intracavity tone amplitudes and the total coupling.
 
-    g^2 = g0^2 (|alpha_-|^2 + |alpha_+|^2) is the total coupling;
-    epsilon_c = |alpha_-|^2 / (|alpha_-|^2 + |alpha_+|^2) the cooling-tone
-    share of the intracavity power.
+    Stored: the two amplitudes and g, with g^2 = g0^2 (|alpha_-|^2 + |alpha_+|^2).
+    Derived: the cooling-tone share of the intracavity power,
+    epsilon_c = |alpha_-|^2 / (|alpha_-|^2 + |alpha_+|^2).
     """
 
     alpha_minus: complex
     alpha_plus: complex
     g: float
-    epsilon_c: float
 
     def __post_init__(self):
-        total = abs(self.alpha_minus) ** 2 + abs(self.alpha_plus) ** 2
-        if total > 0:
-            eps = abs(self.alpha_minus) ** 2 / total
-            if abs(eps - self.epsilon_c) > 1e-12 * max(1.0, abs(eps)):
-                raise InternalConsistencyError("epsilon_c inconsistent with amplitudes")
-        if self.g < 0 or not 0.0 <= self.epsilon_c <= 1.0:
-            raise ValueError("g must be >= 0 and epsilon_c in [0, 1]")
+        if self.g < 0:
+            raise ValueError("g must be >= 0")
+
+    @property
+    def epsilon_c(self) -> float:
+        p_minus = abs(self.alpha_minus) ** 2
+        return p_minus / (p_minus + abs(self.alpha_plus) ** 2)
 
 
 # the rates whose squares the closed forms take: each square must be finite,
@@ -183,6 +185,8 @@ _RATES = ("omega_m", "gamma_opt", "gamma_eff", "gamma_plus", "gamma_minus", "a_m
 class DerivedRates:
     """All derived rates for one operating point (angular units).
 
+    Stored: the fields below.  Derived: the sideband widths gamma_plus and
+    gamma_minus, gamma_eff (1 +/- s), and the folded s_folded = |s|.
     gamma_par and s are signed (sign follows the detuning); the spectra are
     invariant under s -> -s, so reporting layers fold to |s|.  `anomalous`
     is the coefficient of the two-tone input-noise cross correlator,
@@ -195,8 +199,6 @@ class DerivedRates:
     gamma_par: float
     phi: float
     s: float
-    gamma_plus: float
-    gamma_minus: float
     a_minus: float
     a_plus: float
     n_ba: float | None
@@ -213,15 +215,21 @@ class DerivedRates:
             raise AntiDampingError("gamma_eff must be positive")
         if not abs(self.s) < 1:
             raise ParametricInstabilityError("stable only for |s| < 1")
-        if abs(self.gamma_plus - self.gamma_eff * (1 + self.s)) > 1e-12 * self.gamma_eff:
-            raise InternalConsistencyError("gamma_plus != gamma_eff * (1 + s)")
-        if abs(self.gamma_minus - self.gamma_eff * (1 - self.s)) > 1e-12 * self.gamma_eff:
-            raise InternalConsistencyError("gamma_minus != gamma_eff * (1 - s)")
         # a violation beyond rounding means the two code paths diverged
         scale = max(self.a_minus, self.a_plus)
         gap = abs(self.gamma_opt - (self.a_minus - self.a_plus))
         if scale > 0 and gap > _IDENTITY_RTOL * scale:
             raise InternalConsistencyError("A- - A+ does not reproduce Gamma_opt")
+
+    @property
+    def gamma_plus(self) -> float:
+        """Width of the broad (squeezed-quadrature) Lorentzian, gamma_eff (1 + s)."""
+        return self.gamma_eff * (1 + self.s)
+
+    @property
+    def gamma_minus(self) -> float:
+        """Width of the narrow (amplified-quadrature) Lorentzian, gamma_eff (1 - s)."""
+        return self.gamma_eff * (1 - self.s)
 
     @property
     def s_folded(self) -> float:
@@ -252,8 +260,6 @@ class DerivedRates:
             gamma_par=s * gamma_eff,
             phi=phi,
             s=s,
-            gamma_plus=gamma_eff * (1 + s),
-            gamma_minus=gamma_eff * (1 - s),
             a_minus=0.0,
             a_plus=0.0,
             n_ba=None,
@@ -263,14 +269,7 @@ class DerivedRates:
 
     def without_parametric_drive(self) -> "DerivedRates":
         """Same cooling, parametric effect switched off (drive-off emulation)."""
-        return replace(
-            self,
-            gamma_par=0.0,
-            s=0.0,
-            gamma_plus=self.gamma_eff,
-            gamma_minus=self.gamma_eff,
-            anomalous=0.0j,
-        )
+        return replace(self, gamma_par=0.0, s=0.0, anomalous=0.0j)
 
 
 def thermal_occupation(temperature: float, omega: float) -> float:
@@ -298,15 +297,8 @@ def intracavity_amplitudes(
     alpha_plus = pump.alpha_in_plus * root_kin / (
         -1j * (params.delta + omega_m) + params.kappa / 2
     )
-    p_minus = abs(alpha_minus) ** 2
-    p_plus = abs(alpha_plus) ** 2
-    total = p_minus + p_plus
-    return IntracavityField(
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
-        g=params.g0 * math.sqrt(total),
-        epsilon_c=p_minus / total,
-    )
+    total = abs(alpha_minus) ** 2 + abs(alpha_plus) ** 2
+    return IntracavityField(alpha_minus, alpha_plus, g=params.g0 * math.sqrt(total))
 
 
 def _sideband_denominators(kappa: float, delta: float, omega_m: float):
@@ -429,10 +421,20 @@ def occupancy(
     return n_ba, n_bar
 
 
+@contextmanager
+def in_float_range():
+    """numpy's overflow, divide and invalid raised; any ArithmeticError a StabilityError."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise StabilityError(f"the closed forms leave floating-point range: {exc}") from None
+
+
 def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
     """Complete set of derived rates with all stability checks enforced; closed
     forms that leave floating-point range raise StabilityError."""
-    try:
+    with in_float_range():
         omega_m = self_consistent_frequency(params, pump)
         field = intracavity_amplitudes(params, pump, omega_m)
         gamma_opt = optical_damping(params, field, omega_m)
@@ -460,13 +462,9 @@ def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
             gamma_par=gamma_par,
             phi=phi,
             s=s,
-            gamma_plus=gamma_eff * (1 + s),
-            gamma_minus=gamma_eff * (1 - s),
             a_minus=a_minus,
             a_plus=a_plus,
             n_ba=n_ba,
             n_bar=n_bar,
             anomalous=anomalous,
         )
-    except ArithmeticError as exc:
-        raise StabilityError(f"the closed forms leave floating-point range: {exc}") from None

@@ -71,20 +71,9 @@ class SpectrumModel:
             raise ValueError("calibration must be nonnegative")
 
     def psd(self, omega) -> np.ndarray:
-        """Same arithmetic as summing Lorentzian.psd, with (omega - center)^2
-        computed once per distinct center and the terms built in place."""
         omega = np.asarray(omega, dtype=float)
-        total = np.zeros_like(omega)
-        term = np.empty_like(omega)
-        d2 = {}
-        for c in self.components:
-            if c.center not in d2:
-                d = np.subtract(omega, c.center, out=np.empty_like(omega))
-                d2[c.center] = np.multiply(d, d, out=d)
-            total += lorentzian(d2[c.center], c.width, c.area_weight * c.width, out=term)
-        total *= self.calibration
-        total += self.floor
-        return total
+        total = sum((c.psd(omega) for c in self.components), np.zeros_like(omega))
+        return self.floor + self.calibration * total
 
     def psd_hz(self, freq_hz) -> np.ndarray:
         """Same model sampled on an ordinary-frequency grid (Hz)."""

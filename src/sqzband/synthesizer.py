@@ -73,6 +73,16 @@ class DetectionConfig:
         if not 2 * span + 3 <= MAX_GRID_BINS:
             raise ValueError(f"the synthesis grid needs more than {MAX_GRID_BINS} bins")
 
+    def check_center(self, name: str, center_hz: float, error=ValueError) -> None:
+        """`error` naming center_hz unless float64 holds the grid's steps around it.
+
+        A bin is rounded by half a float spacing u, so a step is known to one u,
+        and a reader rounds each step to a whole multiple of the first: that needs
+        (resolution + u) / (resolution - u) < 3/2 at the top bin."""
+        top = center_hz + self.delta_lo_hz + self.band_halfwidth_hz
+        if not self.resolution_hz > 5 * math.ulp(top):
+            raise error(f"{name} = {center_hz:g}: float64 cannot hold resolution_hz steps there")
+
     @property
     def delta_lo(self) -> float:
         return TWO_PI * self.delta_lo_hz

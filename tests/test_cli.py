@@ -775,54 +775,54 @@ class TestFormatOption:
 
 @pytest.mark.parametrize(
     "argv, edit",
+    # each id is the positional one the row had in the first version of this table, kept
+    # so that deleting a row renames no other; [section] edits that the generated table in
+    # test_input_table.py tries (a 0, -1, nan or inf) are not repeated here
     [
-        (["experiment", "--n-repeats", "0"], None),
-        (["experiment", "--n-repeats", "1"], None),
-        (["experiment"], ("n_repeats = 100", "n_repeats = 0")),
-        (["bias", "--n-trials", "0"], None),
-        (["bias", "--n-trials", "50"], None),
-        (["bias"], ("n_trials = 6000", "n_trials = 99")),
-        (["spectrum", "--points", "0"], None),
-        (["spectrum", "--points", "-3"], None),
-        (["spectrum", "--halfwidth-hz", "0"], None),
-        (["spectrum", "--halfwidth-hz", "-5"], None),
-        (["spectrum", "--center-hz", "0"], None),
-        (["spectrum", "--center-hz", "-530000"], None),
-        (["spectrum", "--n-bar", "-0.5"], None),
-        (["synth"], ("n_bar = 5.8\ns = 0.53", "n_bar = -0.5\ns = 0.53")),
-        (["synth"], ("n_repeats = 100", "n_repeats = 100\ncenter_hz = -5e5")),
-        (["bias"], ("n_trials = 6000\nn_bar = 5.8", "n_trials = 6000\nn_bar = -0.5")),
-        (["bias"], ("n_trials = 6000", "n_trials = 6000\ncenter_hz = 0")),
-        (["sweep"], ("axis = detuning_delta", "axis = parametric_gain_s\nn_bar = -0.5")),
-        (["synth"], ("n_avg = 10", "n_avg = 0")),
-        (["synth"], ("floor = 1.0", "floor = -1")),
-        (["synth"], ("snr = 30.0", "snr = -3")),
-        (["synth"], ("floor = 1.0", "floor = 1.0\ncalibration = -2")),
-        (["synth"], ("band_halfwidth_hz = 300.0", "band_halfwidth_hz = -5")),
-        (["synth"], ("band_halfwidth_hz = 300.0", "band_halfwidth_hz = 0")),
-        (["synth"], ("delta_lo_hz = 11e3", "delta_lo_hz = nan")),
-        (["synth"], ("resolution_hz = 0.2", "resolution_hz = inf")),
-        (["bias"], ("n_avg = 1200", "n_avg = 0")),
-        (["bias"], ("n_jobs = 2", "n_jobs = 2\nfloor = -1")),
-        (["bias"], ("n_jobs = 2", "n_jobs = 2\nsnr = -3")),
-        (["bias"], ("n_jobs = 2", "n_jobs = 2\ncalibration = -2")),
-        (["experiment"], ("n_repeats = 100", "n_repeats = 100\nn_jobs = 0")),
-        (["bias"], ("n_jobs = 2", "n_jobs = 0")),
-        (["spectrum", "--halfwidth-hz", "inf"], None),
-        (["rates"], ("temperature_k = 7.0", "temperature_k = 7.0\nn_th = nan")),
-        (["rates"], ("n_extra = 0.0", "n_extra = nan")),
-        (["rates"], ("g0_hz = 30.0", "g0_hz = nan")),
-        (["rates"], ("delta_hz = 2.0e5", "delta_hz = inf")),
-        (["rates"], ("omega_m_hz = 530e3", "omega_m_hz = inf")),
-        (["rates"], ("alpha_in_minus = 1.63575e6, 0.0", "alpha_in_minus = nan, 0.0")),
-        (["rates"], ("alpha_in_plus  = 6.4957e5, 0.0", "alpha_in_plus  = inf, 0.0")),
-        (["rates"], ("temperature_k = 7.0", "temperature_k = inf")),
-        (["spectrum", "--gamma-eff-hz", "inf"], None),
-        (["spectrum", "--gamma-eff-hz", "nan"], None),
-        (["spectrum", "--gamma-eff-hz", "0"], None),
-        (["spectrum", "--n-bar", "inf"], None),
-        (["spectrum", "--center-hz", "inf"], None),
-        (["spectrum", "--s", "nan"], None),
+        pytest.param(["experiment", "--n-repeats", "0"], None, id="argv0-None"),
+        pytest.param(["experiment", "--n-repeats", "1"], None, id="argv1-None"),
+        pytest.param(["bias", "--n-trials", "0"], None, id="argv3-None"),
+        pytest.param(["bias", "--n-trials", "50"], None, id="argv4-None"),
+        pytest.param(["bias"], ("n_trials = 6000", "n_trials = 99"), id="argv5-edit5"),
+        pytest.param(["spectrum", "--points", "0"], None, id="argv6-None"),
+        pytest.param(["spectrum", "--points", "-3"], None, id="argv7-None"),
+        pytest.param(["spectrum", "--halfwidth-hz", "0"], None, id="argv8-None"),
+        pytest.param(["spectrum", "--halfwidth-hz", "-5"], None, id="argv9-None"),
+        pytest.param(["spectrum", "--center-hz", "0"], None, id="argv10-None"),
+        pytest.param(["spectrum", "--center-hz", "-530000"], None, id="argv11-None"),
+        pytest.param(["spectrum", "--n-bar", "-0.5"], None, id="argv12-None"),
+        pytest.param(
+            ["synth"], ("n_bar = 5.8\ns = 0.53", "n_bar = -0.5\ns = 0.53"), id="argv13-edit13"
+        ),
+        pytest.param(
+            ["synth"], ("n_repeats = 100", "n_repeats = 100\ncenter_hz = -5e5"), id="argv14-edit14"
+        ),
+        pytest.param(
+            ["bias"],
+            ("n_trials = 6000\nn_bar = 5.8", "n_trials = 6000\nn_bar = -0.5"),
+            id="argv15-edit15",
+        ),
+        pytest.param(
+            ["sweep"],
+            ("axis = detuning_delta", "axis = parametric_gain_s\nn_bar = -0.5"),
+            id="argv17-edit17",
+        ),
+        pytest.param(["synth"], ("snr = 30.0", "snr = -3"), id="argv20-edit20"),
+        pytest.param(
+            ["synth"], ("floor = 1.0", "floor = 1.0\ncalibration = -2"), id="argv21-edit21"
+        ),
+        pytest.param(
+            ["synth"], ("band_halfwidth_hz = 300.0", "band_halfwidth_hz = -5"), id="argv22-edit22"
+        ),
+        pytest.param(["bias"], ("n_jobs = 2", "n_jobs = 2\nsnr = -3"), id="argv28-edit28"),
+        pytest.param(["bias"], ("n_jobs = 2", "n_jobs = 2\ncalibration = -2"), id="argv29-edit29"),
+        pytest.param(["spectrum", "--halfwidth-hz", "inf"], None, id="argv32-None"),
+        pytest.param(["spectrum", "--gamma-eff-hz", "inf"], None, id="argv41-None"),
+        pytest.param(["spectrum", "--gamma-eff-hz", "nan"], None, id="argv42-None"),
+        pytest.param(["spectrum", "--gamma-eff-hz", "0"], None, id="argv43-None"),
+        pytest.param(["spectrum", "--n-bar", "inf"], None, id="argv44-None"),
+        pytest.param(["spectrum", "--center-hz", "inf"], None, id="argv45-None"),
+        pytest.param(["spectrum", "--s", "nan"], None, id="argv46-None"),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):

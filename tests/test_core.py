@@ -54,7 +54,6 @@ def field_with(g_hz: float, epsilon_c: float, params, phase_plus: float = 0.0):
         alpha_minus=math.sqrt(epsilon_c * total),
         alpha_plus=math.sqrt((1 - epsilon_c) * total) * np.exp(1j * phase_plus),
         g=g,
-        epsilon_c=epsilon_c,
     )
 
 
@@ -139,7 +138,7 @@ class TestIntracavityAmplitudes:
 class TestOpticalDamping:
     def test_zero_coupling(self):
         params = make_params(g0_hz=0.0)
-        field = IntracavityField(alpha_minus=1.0, alpha_plus=0.0, g=0.0, epsilon_c=1.0)
+        field = IntracavityField(alpha_minus=1.0, alpha_plus=0.0, g=0.0)
         assert optical_damping(params, field, params.omega_m0) == 0.0
 
     def test_reference_value(self):
@@ -245,7 +244,7 @@ class TestScatteringRates:
 
     def test_zero_coupling(self):
         params = make_params(g0_hz=0.0)
-        field = IntracavityField(alpha_minus=1.0, alpha_plus=0.0, g=0.0, epsilon_c=1.0)
+        field = IntracavityField(alpha_minus=1.0, alpha_plus=0.0, g=0.0)
         assert scattering_rates(params, field, params.omega_m0) == (0.0, 0.0)
 
     def test_single_red_tone_cools(self):
@@ -391,6 +390,17 @@ class TestDeriveAll:
         assert rates.s == 0.0
         assert rates.gamma_plus == rates.gamma_eff == rates.gamma_minus
         assert rates.anomalous == 0.0
+
+    def test_widths_and_cooling_share_follow_what_is_stored(self, paper_run_config):
+        # the sideband widths follow s and the cooling share the amplitudes, so a
+        # rates object with s replaced needs no widths of its own
+        cfg = paper_run_config
+        rates = replace(derive_all(cfg.params, cfg.pump), s=0.3)
+        assert rates.gamma_plus == rates.gamma_eff * (1 + 0.3)
+        assert rates.gamma_minus == rates.gamma_eff * (1 - 0.3)
+        field = intracavity_amplitudes(cfg.params, cfg.pump, rates.omega_m)
+        p_minus, p_plus = abs(field.alpha_minus) ** 2, abs(field.alpha_plus) ** 2
+        assert field.epsilon_c == p_minus / (p_minus + p_plus)
 
     def test_rate_identity_across_random_configs(self):
         rng = np.random.default_rng(42)

@@ -4,9 +4,11 @@ The table is generated: the physics keys are listed once with the domain
 they are checked against, and the tool keys are the numeric fields of the
 settings dataclasses of each section.  Each key of configs/paper.ini (or
 added to it) is set, one at a time, to each of VALUES, and each command that
-reads the key runs in-process.  Every run must end in exit 0, 2 or 3 without
-an uncaught exception or a RuntimeWarning; a value outside the key's domain
-must exit 2, and an exit 2 must leave no manifest.json.
+reads the key runs in-process (spectrum with a model flag for an
+[experiment] key, or it would not read the section).  Every run must end in
+exit 0, 2 or 3 without an uncaught exception or a RuntimeWarning; a value
+outside the key's domain must exit 2, and an exit 2 must leave no
+manifest.json.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from sqzband.config import BiasSettings, ExperimentSettings, SweepSettings
 from sqzband.core import NONNEGATIVE, POSITIVE, SystemParams, check_value
 from sqzband.synthesizer import DetectionConfig
 
-VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf")
+# 1e100 and 1e-100: their squares are in floating-point range, their fourth powers not
+VALUES = ("0", "-1", "1e100", "1e-100", "1e300", "1e-300", "nan", "inf")
 NUMERIC = ("int", "float", "float | None")
 CONFIG_READ = (SystemParams, DetectionConfig, ExperimentSettings, BiasSettings, SweepSettings)
 
@@ -87,6 +90,11 @@ def _in_domain(value: str, domain) -> bool:
 
 @pytest.mark.parametrize("command, section, key, domain, replaces", CASES)
 def test_every_value_exits_0_2_or_3(tmp_path, command, section, key, domain, replaces):
+    flags = []
+    if command == "spectrum" and section == "experiment":
+        # spectrum reads [experiment] only with a model flag: one, at its paper.ini value
+        flag = "s" if key == "n_bar" else "n_bar"
+        flags = [f"--{flag.replace('_', '-')}", _paper_sections()["experiment"][flag]]
     failures = []
     for i, value in enumerate(VALUES):
         sections = _paper_sections()
@@ -103,7 +111,7 @@ def test_every_value_exits_0_2_or_3(tmp_path, command, section, key, domain, rep
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                code = cli.main([command, "--config", str(path), "--out-dir", str(out)])
+                code = cli.main([command, *flags, "--config", str(path), "--out-dir", str(out)])
             except Exception as exc:  # an escaped exception fails the cell
                 code = f"{type(exc).__name__}: {exc}"
         warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -286,7 +286,7 @@ class TestSpectrumModel:
         assert val / TWO_PI == pytest.approx(3.7, rel=1e-9)
 
     def test_psd_is_floor_plus_calibrated_component_sum(self):
-        # the in-place evaluation does the same operations as the plain sum
+        # bit for bit, with each component evaluated by Lorentzian.psd
         rates = rates_for(0.4, n_bar=0.3)
         grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 2001)
         model, psd = heterodyne_composite(rates, 0.3, TWO_PI * 11e3, 1.7, 0.4, grid)
