@@ -39,7 +39,7 @@ from .lineshape import (
     stokes_spectrum,
 )
 from .svgplot import write_svg
-from .synthesizer import make_onoff_pair
+from .synthesizer import MAX_GRID_BINS, check_grid_step, make_onoff_pair
 
 _RATE_FIELDS = (
     ("omega_m", "effective resonance"),
@@ -132,16 +132,17 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
     with in_float_range():
         rates, n_bar = _model_rates_from_args(args, cfg)
         half = 8 * rates.gamma_eff / TWO_PI if args.halfwidth_hz is None else args.halfwidth_hz
+        # the composite grid spans both sidebands at the detection settings
+        center_hz, span = rates.omega_m / TWO_PI, cfg.detection.delta_lo_hz + half
+        step_hz = 2 * span / (args.points - 1)
+        check_grid_step("composite center_hz", center_hz, span, step_hz, ConfigError)
         offsets_hz = np.linspace(-half, half, args.points)
         grid = TWO_PI * offsets_hz
         stokes = stokes_spectrum(rates, n_bar, grid)
         anti = antistokes_spectrum(rates, n_bar, grid)
         y_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2, grid)
         x_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2 + math.pi / 2, grid)
-        # absolute-frequency two-sideband composite at the detection settings
-        comp_freq = rates.omega_m / TWO_PI + np.linspace(
-            -(cfg.detection.delta_lo_hz + half), cfg.detection.delta_lo_hz + half, args.points
-        )
+        comp_freq = center_hz + np.linspace(-span, span, args.points)
         _, comp_psd = heterodyne_composite(
             rates,
             n_bar,
@@ -575,6 +576,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "spectrum" and args.log_y and args.format != "svg":
         parser.error("--log-y applies to the plot: add --format svg")
+    if args.command == "spectrum" and args.points > MAX_GRID_BINS:
+        parser.error(f"--points: at most {MAX_GRID_BINS}")
     try:
         return cmd_rerun(args) if args.command == "rerun" else _run(args, argv)
     except ConfigError as exc:

@@ -25,7 +25,7 @@ from .core import FINITE, NONNEGATIVE, POSITIVE, PumpConfig, SystemParams
 from .core import at_least, check_domains, check_value
 from .errors import ConfigError
 from .fitter import MIN_BIAS_TRIALS
-from .synthesizer import DetectionConfig
+from .synthesizer import DetectionConfig, check_grid_step
 
 SWEEP_AXES = ("parametric_gain_s", "gamma_eff", "detuning_delta")
 
@@ -160,16 +160,15 @@ def load_config(path) -> RunConfig:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}]: {exc}") from None
 
-    omega_m_hz = _get("mechanics", "omega_m_hz", required=True)
-    gamma_m_hz = _get("mechanics", "gamma_m_hz")
-    quality = _get("mechanics", "quality_factor")
-    if (gamma_m_hz is None) == (quality is None):
-        raise ConfigError("[mechanics] needs gamma_m_hz or quality_factor, not both")
+    def _one_of(section, first, second):
+        values = _get(section, first), _get(section, second)
+        if (values[0] is None) == (values[1] is None):
+            raise ConfigError(f"[{section}] needs {first} or {second}, not both")
+        return values
 
-    n_th = _get("bath", "n_th")
-    temperature = _get("bath", "temperature_k")
-    if n_th is None and temperature is None:
-        raise ConfigError("[bath] needs n_th or temperature_k")
+    omega_m_hz = _get("mechanics", "omega_m_hz", required=True)
+    gamma_m_hz, quality = _one_of("mechanics", "gamma_m_hz", "quality_factor")
+    n_th, temperature = _one_of("bath", "n_th", "temperature_k")
 
     try:
         params = SystemParams.from_hz(
@@ -206,8 +205,12 @@ def load_config(path) -> RunConfig:
     # (the noise level of those spectra is not published; the protocol's
     # n_avg = 10 reproduces the experimental-ensemble scatter instead).
     bias_detection = _settings(DetectionConfig, "bias", delta_lo_hz=1.1e3, n_avg=1200)
-    detection.check_center("[experiment] center_hz", experiment.center_hz, ConfigError)
-    bias_detection.check_center("[bias] center_hz", bias.center_hz, ConfigError)
+    for name, center_hz, grid in (
+        ("[experiment] center_hz", experiment.center_hz, detection),
+        ("[bias] center_hz", bias.center_hz, bias_detection),
+    ):
+        half_span_hz = grid.delta_lo_hz + grid.band_halfwidth_hz
+        check_grid_step(name, center_hz, half_span_hz, grid.resolution_hz, ConfigError)
 
     sweep = _settings(SweepSettings, "sweep") if parser.has_section("sweep") else None
 

@@ -190,7 +190,8 @@ class DerivedRates:
     gamma_par and s are signed (sign follows the detuning); the spectra are
     invariant under s -> -s, so reporting layers fold to |s|.  `anomalous`
     is the coefficient of the two-tone input-noise cross correlator,
-    -g0^2 kappa alpha_-^* alpha_+ / (Delta^2 + kappa^2/4).
+    -g0^2 kappa alpha_-^* alpha_+ / (Delta^2 + kappa^2/4).  |s| < 1 is checked
+    here only, and dataclasses.replace re-runs the check.
     """
 
     omega_m: float
@@ -214,7 +215,9 @@ class DerivedRates:
         if not self.gamma_eff > 0:
             raise AntiDampingError("gamma_eff must be positive")
         if not abs(self.s) < 1:
-            raise ParametricInstabilityError("stable only for |s| < 1")
+            raise ParametricInstabilityError(
+                f"|s| = {abs(self.s):.4f} >= 1: the system is stable for s < 1"
+            )
         # a violation beyond rounding means the two code paths diverged
         scale = max(self.a_minus, self.a_plus)
         gap = abs(self.gamma_opt - (self.a_minus - self.a_plus))
@@ -432,8 +435,8 @@ def in_float_range():
 
 
 def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
-    """Complete set of derived rates with all stability checks enforced; closed
-    forms that leave floating-point range raise StabilityError."""
+    """Complete set of derived rates; DerivedRates enforces the stability checks,
+    and closed forms that leave floating-point range raise StabilityError."""
     with in_float_range():
         omega_m = self_consistent_frequency(params, pump)
         field = intracavity_amplitudes(params, pump, omega_m)
@@ -446,10 +449,6 @@ def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
         gamma_par, phi = parametric_rate(params, field, omega_m)
         a_minus, a_plus = scattering_rates(params, field, omega_m)
         s = gamma_par / gamma_eff
-        if abs(s) >= 1:
-            raise ParametricInstabilityError(
-                f"|s| = {abs(s):.4f} >= 1: the system is stable for s < 1"
-            )
         n_ba, n_bar = occupancy(params, gamma_eff=gamma_eff, a_plus=a_plus, gamma_opt=gamma_opt)
         d0, _, _ = _sideband_denominators(params.kappa, params.delta, omega_m)
         anomalous = (

@@ -40,6 +40,7 @@ because numpy releases the interpreter lock while it writes.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -587,13 +588,15 @@ def _trial_fits(truth: ExperimentTruth, seed: int):
 def _run_trials(
     truth: ExperimentTruth, n_trials: int, root_seed: int, n_jobs: int, chunksize: int
 ) -> list:
-    """`_trial_fits` of each trial's seed, in trial order, on `n_jobs` processes."""
+    """`_trial_fits` of each trial's seed, in trial order, on `n_jobs` processes,
+    at most one per CPU (the pool starts all its workers at once)."""
     args = (repeat(truth, n_trials), (task_seed(root_seed, i) for i in range(n_trials)))
-    if n_jobs > 1:
+    workers = min(n_jobs, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_trial_fits, *args, chunksize=chunksize))
     return list(map(_trial_fits, *args))
 

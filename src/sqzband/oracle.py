@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import POSITIVE, DerivedRates, SystemParams, check_value
 from .data import SpectrumData
-from .errors import GridError, ParametricInstabilityError
+from .errors import GridError
 
 _CONDITION_WARN_THRESHOLD = 1e6
 # samples (or grid bins) per chunk of the chunked loops below: their working
@@ -204,10 +204,8 @@ def propagate_spectra(
     (e^{i th} T[0,:] + e^{-i th} T[1,:]) / 2.  Outputs are symmetrized over
     +/- offsets (see module docstring).  The solve runs over slices of the
     grid into preallocated outputs; the condition numbers, and the warning
-    on them, cover the whole grid.
+    on them, cover the whole grid.  |s| < 1 holds: DerivedRates checks it.
     """
-    if not abs(rates.s) < 1:
-        raise ParametricInstabilityError("|s| must be < 1")
     grid = np.asarray(grid, dtype=float)
     tm = TransferMatrix.from_rates(rates)
     cond = tm.condition_numbers(grid)
@@ -259,7 +257,7 @@ def sde_simulate(
     AR(1) recurrences with poles (1 - G_pm dt/2), which is what is evaluated
     (identical arithmetic to the naive step loop, vectorized).  The chain
     starts from its discrete stationary distribution.  Deterministic per
-    seed.
+    seed.  |s| < 1 holds (DerivedRates checks it), so both widths are positive.
 
     Each recurrence runs in chunks: the noise of a chunk is drawn into one
     reused buffer and filtered with the state `zi` carried from the previous
@@ -272,8 +270,6 @@ def sde_simulate(
     # 0.87-1.15 s with numpy already loaded (5 runs of -X importtime, 2 cores),
     # so it is imported here and only the oracle's callers pay for it.
     from scipy.signal import lfilter
-    if not abs(rates.s) < 1:
-        raise ParametricInstabilityError("unstable parameters rejected before integration")
     if dt * rates.gamma_plus >= 0.1:
         raise ValueError("dt * gamma_plus must stay below 0.1")
     if duration * rates.gamma_minus <= 50:

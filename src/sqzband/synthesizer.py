@@ -73,16 +73,6 @@ class DetectionConfig:
         if not 2 * span + 3 <= MAX_GRID_BINS:
             raise ValueError(f"the synthesis grid needs more than {MAX_GRID_BINS} bins")
 
-    def check_center(self, name: str, center_hz: float, error=ValueError) -> None:
-        """`error` naming center_hz unless float64 holds the grid's steps around it.
-
-        A bin is rounded by half a float spacing u, so a step is known to one u,
-        and a reader rounds each step to a whole multiple of the first: that needs
-        (resolution + u) / (resolution - u) < 3/2 at the top bin."""
-        top = center_hz + self.delta_lo_hz + self.band_halfwidth_hz
-        if not self.resolution_hz > 5 * math.ulp(top):
-            raise error(f"{name} = {center_hz:g}: float64 cannot hold resolution_hz steps there")
-
     @property
     def delta_lo(self) -> float:
         return TWO_PI * self.delta_lo_hz
@@ -93,6 +83,17 @@ class DetectionConfig:
             return self.calibration
         peak = 4 * (n_bar + 1) / rates.gamma_eff  # s = 0 Stokes peak PSD
         return self.snr * self.floor / peak
+
+
+def check_grid_step(name: str, center_hz, half_span_hz, step_hz, error=ValueError) -> None:
+    """`error` naming center_hz unless float64 holds `step_hz` steps on center_hz +/-
+    half_span_hz (load_config's synthesis grids, `sqzband spectrum`'s composite).
+
+    A bin is rounded by half a float spacing u, so a step is known to one u,
+    and a reader rounds each step to a whole multiple of the first: that needs
+    (step + u) / (step - u) < 3/2 at the top bin."""
+    if not step_hz > 5 * math.ulp(center_hz + half_span_hz):
+        raise error(f"{name} = {center_hz:g}: float64 cannot hold {step_hz:g} Hz steps there")
 
 
 def synthetic_grid_hz(center_hz: float, detection: DetectionConfig) -> np.ndarray:
@@ -130,13 +131,11 @@ def synth_periodogram(
     drawn on: one variate per entry of that grid, and the i-th bin gets the
     variate of the i-th selected entry, so a bin's value does not depend on
     which other bins are kept.  None draws on the bins alone, one variate
-    per bin.
+    per bin.  A variate is positive, so each bin has its model's sign, and
+    SpectrumData rejects a negative model bin (ValueError).
     """
     check_value("n_avg", n_avg, at_least(1))
-    freq_hz = np.asarray(freq_hz, dtype=float)
     truth = np.asarray(mean_psd, dtype=float)
-    if np.any(truth < 0):
-        raise ValueError("model PSD must be nonnegative on the grid")
     drawn = np.ones(truth.size, dtype=bool) if drawn is None else np.asarray(drawn, dtype=bool)
     if drawn.ndim != 1 or np.count_nonzero(drawn) != truth.size:
         raise GridError("drawn must select exactly one entry per bin")

@@ -75,11 +75,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="alpha_in_minus"):
             load_config(write_config(tmp_path, bad))
 
-    def test_explicit_n_th_wins(self, tmp_path):
-        text = MINIMAL.replace("temperature_k = 7.0", "temperature_k = 7.0\nn_th = 1234.0")
-        cfg = load_config(write_config(tmp_path, text))
-        assert cfg.params.n_th == 1234.0
-
     def test_amplitude_phase_parsing(self, tmp_path):
         text = MINIMAL.replace("alpha_in_plus = 6.4957e5, 0.0", "alpha_in_plus = 2.0, 90.0")
         cfg = load_config(write_config(tmp_path, text))
@@ -823,13 +818,23 @@ class TestFormatOption:
         pytest.param(["spectrum", "--n-bar", "inf"], None, id="argv44-None"),
         pytest.param(["spectrum", "--center-hz", "inf"], None, id="argv45-None"),
         pytest.param(["spectrum", "--s", "nan"], None, id="argv46-None"),
+        pytest.param(["spectrum", "--center-hz", "1e17"], None, id="argv47-None"),
+        pytest.param(["spectrum", "--center-hz", "1e20"], None, id="argv48-None"),
+        pytest.param(["spectrum", "--center-hz", "1e50"], None, id="argv49-None"),
+        pytest.param(["spectrum", "--points", "10000001"], None, id="argv50-None"),
+        pytest.param(
+            ["rates"],
+            ("temperature_k = 7.0", "temperature_k = 7.0\nn_th = 1234.0"),
+            id="argv51-edit51",
+        ),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):
     # an explicit 0 is not "unset", and a study too small for its statistics does not run;
     # neither does a negative occupancy, a resonance not at a positive frequency, a pool
-    # of no workers, detection settings no spectrum can be drawn with, or a value that
-    # is not finite
+    # of no workers, detection settings no spectrum can be drawn with, a grid float64
+    # cannot step at its center, a quantity given by two keys, or a value that is not
+    # finite
     text = paper_config_path.read_text()
     if edit:
         assert edit[0] in text

@@ -402,6 +402,14 @@ class TestDeriveAll:
         p_minus, p_plus = abs(field.alpha_minus) ** 2, abs(field.alpha_plus) ** 2
         assert field.epsilon_c == p_minus / (p_minus + p_plus)
 
+    @pytest.mark.parametrize("s", [1.0, -1.2])
+    def test_rates_at_or_above_threshold_cannot_be_built(self, paper_run_config, s):
+        # DerivedRates holds the one |s| check, so the oracle and the synthesizer
+        # never see rates at or above threshold, also after dataclasses.replace
+        rates = derive_all(paper_run_config.params, paper_run_config.pump)
+        with pytest.raises(ParametricInstabilityError, match=rf"\|s\| = {abs(s):.4f} >= 1"):
+            replace(rates, s=s)
+
     def test_rate_identity_across_random_configs(self):
         rng = np.random.default_rng(42)
         for _ in range(25):

@@ -338,3 +338,35 @@ class TestParallelDeterminism:
         parallel = recovery_campaign(truth, n_repeats=8, root_seed=5, n_jobs=2)
         assert [row["index"] for row in serial] == list(range(8))
         assert serial == parallel
+
+    def test_pool_starts_at_most_one_worker_per_cpu(self, monkeypatch):
+        # the pool starts all its workers at once, so n_jobs beyond the CPUs would fork
+        # that many processes; an in-process fake records the count and starts none
+        import concurrent.futures
+
+        from sqzband import fitter
+
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        truth = cli._truth_from_config(load_config(PAPER_CONFIG))
+        serial = fitter.recovery_campaign(truth, n_repeats=2, root_seed=5, n_jobs=1)
+        for cpus, workers in ((3, [3]), (None, [])):
+            started.clear()
+            monkeypatch.setattr(fitter.os, "cpu_count", lambda: cpus)
+            pooled = fitter.recovery_campaign(truth, n_repeats=2, root_seed=5, n_jobs=100_000)
+            assert started == workers
+            assert pooled == serial

@@ -8,7 +8,7 @@ from scipy.signal import get_window, lfilter
 
 from conftest import TWO_PI, folded_periodogram, sample_stable_rates
 from sqzband.core import DerivedRates
-from sqzband.errors import GridError, ParametricInstabilityError
+from sqzband.errors import GridError
 from sqzband.lineshape import antistokes_spectrum, quadrature_spectrum, stokes_spectrum
 from sqzband.oracle import (
     _CHUNK,
@@ -202,13 +202,6 @@ class TestPropagateSpectra:
         with pytest.warns(IllConditionedWarning):
             propagate_spectra(rates, corr, np.array([0.0, rates.gamma_eff]))
 
-    def test_instability_rejected(self):
-        rates = DerivedRates.from_effective(TWO_PI * 100, 0.3, n_bar=1.0)
-        object.__setattr__(rates, "s", 1.2)
-        corr = NoiseCorrelators.from_occupancy(rates.gamma_eff, 1.0)
-        with pytest.raises(ParametricInstabilityError):
-            propagate_spectra(rates, corr, np.array([0.0]))
-
 
 class TestSdeSimulate:
     def make_rates(self, s):
@@ -279,10 +272,6 @@ class TestSdeSimulate:
             sde_simulate(rates, 1.0, duration=10.0, dt=1e-3, seed=1)  # dt too big
         with pytest.raises(ValueError):
             sde_simulate(rates, 1.0, duration=0.05, dt=1e-5, seed=1)  # too short
-        unstable = DerivedRates.from_effective(TWO_PI * 100, 0.3)
-        object.__setattr__(unstable, "s", 1.01)
-        with pytest.raises(ParametricInstabilityError):
-            sde_simulate(unstable, 1.0, duration=10.0, dt=1e-5, seed=1)
 
 
 class TestQuadratureSeries:
