@@ -850,13 +850,13 @@ def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, cap
 
 
 def test_import_and_config_load_leave_scipy_and_multiprocessing_unloaded(paper_config_path):
-    # what every command pays before it works: only the oracle needs scipy, and only
-    # a bias or experiment pool needs multiprocessing
+    # what every command pays before it works: only the oracle needs scipy and its
+    # worker threads, and only a bias or experiment pool needs multiprocessing
     code = (
         "import sqzband, sqzband.cli, sys\n"
         "from sqzband.config import load_config\n"
         f"load_config({str(paper_config_path)!r})\n"
-        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "heavy = ('scipy', 'multiprocessing', 'concurrent.futures', 'concurrent.futures.process')\n"
         "print(sorted(m for m in sys.modules if m in heavy or m.startswith('scipy.')))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

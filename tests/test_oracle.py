@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,62 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def stacked_propagation(rates, correlators, grid, thetas):
+    """(stokes, antistokes, quadratures) from the stacked (n, 2, 2) matrix of
+    `TransferMatrix.matrix`: adjugate over determinant, contracted column by
+    column.  The reference for the flat solve of `propagate_spectra`."""
+    tm = TransferMatrix.from_rates(rates)
+    corr = correlators.matrix()
+
+    def inverse(d):
+        m = tm.matrix(d)
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        adj = np.empty_like(m)
+        adj[:, 0, 0], adj[:, 1, 1] = m[:, 1, 1], m[:, 0, 0]
+        adj[:, 0, 1], adj[:, 1, 0] = -m[:, 0, 1], -m[:, 1, 0]
+        return adj / det[:, None, None]
+
+    def contract(left, right):
+        total = np.zeros(left.shape[0], dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                total += left[:, i] * right[:, j] * corr[i, j]
+        return total
+
+    def symmetrized(left_pos, right_pos, left_neg, right_neg):
+        return 0.5 * (contract(left_neg, right_pos).real + contract(left_pos, right_neg).real)
+
+    pos, neg = inverse(grid), inverse(-grid)
+    quadratures = {}
+    for th in thetas:
+        phase = np.exp(1j * th)
+        v_pos = (phase * pos[:, 0, :] + np.conj(phase) * pos[:, 1, :]) / 2
+        v_neg = (phase * neg[:, 0, :] + np.conj(phase) * neg[:, 1, :]) / 2
+        quadratures[th] = symmetrized(v_pos, v_pos, v_neg, v_neg)
+    stokes = symmetrized(pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1])
+    antistokes = symmetrized(pos[:, 1], pos[:, 0], neg[:, 1], neg[:, 0])
+    return stokes, antistokes, quadratures
+
+
+def one_segment_at_a_time(samples, segment_length, overlap_fraction, window, dt):
+    """`welch_psd`'s psd with one transform per segment, summed in order."""
+    step = max(1, int(round(segment_length * (1 - overlap_fraction))))
+    n_seg = 1 + (samples.size - segment_length) // step
+    is_complex = np.iscomplexobj(samples)
+    transform = np.fft.fft if is_complex else np.fft.rfft
+    taper = get_window(window, segment_length, fftbins=True)
+    psd = np.zeros(segment_length if is_complex else segment_length // 2 + 1)
+    for k in range(n_seg):
+        spec = transform(samples[k * step : k * step + segment_length] * taper)
+        psd += spec.real**2
+        psd += spec.imag**2
+    psd /= n_seg * np.sum(taper**2) / dt
+    if is_complex:
+        return np.fft.fftshift(psd)
+    psd[1 : psd.size - (segment_length % 2 == 0)] *= 2
+    return psd
 
 
 class TestTransferMatrix:
@@ -180,6 +238,20 @@ class TestPropagateSpectra:
             joined = np.concatenate([h.quadratures[th] for h in halves])
             assert np.array_equal(whole.quadratures[th], joined)
         assert whole.max_condition == max(h.max_condition for h in halves)
+
+    def test_flat_solve_matches_stacked_reference(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(50):
+            params, _, rates = sample_stable_rates(rng)
+            corr = NoiseCorrelators.from_params(params, rates)
+            grid = rng.uniform(-25, 25, size=rng.integers(2, 3000)) * rates.gamma_eff
+            thetas = (0.0, 0.7, -rates.phi / 2)
+            out = propagate_spectra(rates, corr, grid, thetas=thetas)
+            stokes, antistokes, quadratures = stacked_propagation(rates, corr, grid, thetas)
+            assert np.array_equal(out.stokes, stokes)
+            assert np.array_equal(out.antistokes, antistokes)
+            for th in thetas:
+                assert np.array_equal(out.quadratures[th], quadratures[th])
 
     def test_empty_grid(self):
         rates = DerivedRates.from_effective(TWO_PI * 100, 0.3, n_bar=1.0)
@@ -347,6 +419,41 @@ class TestWelchPsd:
             np.testing.assert_array_equal(spec.freq_hz, freq)
             np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("cpus", [1, None])
+    @pytest.mark.parametrize(
+        "segment_length, n_seg, overlap, window",
+        [
+            (300, 2, 0.5, "hann"),
+            (300, 97, 0.5, "hann"),
+            (2048, 40, 0.0, "boxcar"),
+            (_CHUNK + 3, 2, 0.0, "boxcar"),
+            (_CHUNK + 3, 9, 0.5, "hann"),
+        ],
+    )
+    def test_blocks_do_not_move_a_bit(
+        self, segment_length, n_seg, overlap, window, cpus, monkeypatch
+    ):
+        if cpus is not None:
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        rng = np.random.default_rng(21)
+        step = max(1, round(segment_length * (1 - overlap)))
+        x = rng.standard_normal(segment_length + (n_seg - 1) * step + step // 3)
+        for samples in (x, x + 1j * rng.standard_normal(x.size)):
+            spec = welch_psd(samples, segment_length, overlap, window, dt=1e-3)
+            assert spec.n_avg == n_seg
+            expected = one_segment_at_a_time(samples, segment_length, overlap, window, 1e-3)
+            assert np.array_equal(spec.psd, expected)
+
+    @pytest.mark.parametrize("segment_length", [256, 4 * _CHUNK])
+    def test_peak_memory(self, segment_length):
+        # two blocks of at least _CHUNK samples and their transforms, beside
+        # the taper and the output; a transform of all segments at once is
+        # over 40 segments here
+        x = np.random.default_rng(4).standard_normal(24 * segment_length)
+        welch_psd(x, segment_length, dt=1e-3)  # loads scipy.signal
+        _, peak = traced_peak(welch_psd, x, segment_length, dt=1e-3)
+        assert peak <= 12 * max(segment_length, _CHUNK) * x.itemsize
+
     def test_segment_count_errors(self):
         x = np.zeros(100)
         with pytest.raises(GridError):
@@ -358,3 +465,63 @@ class TestWelchPsd:
     def test_degenerate_segment_rejected(self, segment_length):
         with pytest.raises(GridError):
             welch_psd(np.zeros(100), segment_length=segment_length, dt=1e-3)
+
+
+class TestWorkerThreads:
+    def sde_rates(self):
+        return DerivedRates.from_effective(TWO_PI * 1000, 0.5, phi=0.6)
+
+    def test_no_thread_outlives_a_call(self):
+        rates = self.sde_rates()
+        before = threading.active_count()
+        trace = sde_simulate(rates, 1.0, duration=(3 * _CHUNK + 7) * 5e-6, dt=5e-6, seed=5)
+        assert threading.active_count() == before
+        welch_psd(trace.samples, 1024, dt=trace.dt)
+        assert threading.active_count() == before
+        corr = NoiseCorrelators.from_occupancy(rates.gamma_eff, 1.0, 30j)
+        propagate_spectra(rates, corr, np.linspace(-20, 20, 2 * _CHUNK + 1) * rates.gamma_eff)
+        assert threading.active_count() == before
+
+    def test_one_cpu_gives_the_same_bits(self, monkeypatch):
+        rates = self.sde_rates()
+        args = (rates, 1.0, (3 * _CHUNK + 7) * 5e-6, 5e-6, 5)
+        trace = sde_simulate(*args)
+        psd = welch_psd(trace.samples, 1024, dt=trace.dt).psd
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        before = threading.active_count()
+        serial = sde_simulate(*args)
+        assert np.array_equal(serial.samples, trace.samples)
+        assert np.array_equal(welch_psd(serial.samples, 1024, dt=trace.dt).psd, psd)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_keep_every_bit(self):
+        # four callers, each with its own pool, on two CPUs, with the
+        # interpreter switching threads every microsecond: a buffer shared
+        # between calls, or reused too early, would change a result
+        rates = self.sde_rates()
+        args = (rates, 1.0, (3 * _CHUNK + 7) * 5e-6, 5e-6)
+        expected = {}
+        for seed in range(4):
+            samples = sde_simulate(*args, seed=seed).samples
+            expected[seed] = (samples, welch_psd(samples, 1024, dt=5e-6).psd)
+        results = {}
+
+        def call(seed):
+            samples = sde_simulate(*args, seed=seed).samples
+            results[seed] = (samples, welch_psd(samples, 1024, dt=5e-6).psd)
+
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(results) == sorted(expected)
+        for seed, (samples, psd) in results.items():
+            assert np.array_equal(samples, expected[seed][0])
+            assert np.array_equal(psd, expected[seed][1])
