@@ -28,22 +28,22 @@ about one chunk into two reused buffer pairs; `propagate_spectra` solves the
 grid slice by slice, as flat arrays of the inverse's entries, into
 preallocated outputs.
 
-Two loops use a second CPU through `_ordered_map`: `sde_simulate` filters
-chunk k on a worker thread while the calling thread draws chunk k + 1, and
-`welch_psd` tapers and transforms blocks of segments on two worker threads
-while the calling thread sums their periodograms in segment order.  Every
-draw and every sum stays on the calling thread, in serial order.  The
-threads live for one call (each call creates and joins its pool), a
-one-CPU machine runs both loops serially, and `propagate_spectra` stays
-serial.  Neither chunking nor threading changes a bit of any result.
+Two loops use a second CPU through `_second_core`, one worker thread that
+each call creates and joins: `sde_simulate` filters chunk k on it while the
+calling thread draws chunk k + 1, and `welch_psd` tapers and transforms
+every other block of segments on it while the calling thread transforms the
+block before and sums the periodograms in segment order.  Every draw and
+every sum stays on the calling thread, in serial order.  No thread outlives
+a call, a one-CPU machine runs both loops serially, and `propagate_spectra`
+stays serial.  Neither chunking nor threading changes a bit of any result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,33 +207,29 @@ class EnvelopeTrace:
         check_value("dt", self.dt, POSITIVE)
 
 
-def _ordered_map(fn, items, ahead: int):
-    """Yield fn(item) for each of `items`, in order.
+@contextlib.contextmanager
+def _second_core():
+    """Yield submit(fn, *args), which starts fn(*args) and returns a function
+    that waits for its result and returns it.
 
-    With two or more CPUs the calls run on at most two worker threads of a
-    pool that each call of this generator creates and joins, with at most
-    `ahead` calls in flight: item k is drawn from `items` on the calling
-    thread while calls k - ahead .. k - 1 may still run, and fn(item k) is
-    submitted only after the caller has consumed result k - ahead.  So the
-    buffers that fn fills can be reused by item index modulo `ahead`, and
-    those that `items` fills modulo ahead + 1.  With one CPU it is `map`,
-    which keeps both rules.
+    With two or more CPUs fn runs on the one worker thread of a pool that the
+    `with` block creates and joins, so the caller computes while it runs and
+    no thread outlives the block; with one CPU it runs at once on the calling
+    thread.
     """
-    workers = min(2, os.cpu_count() or 1)
-    if workers < 2:
-        yield from map(fn, items)
+    if (os.cpu_count() or 1) < 2:
+
+        def run_now(fn, *args):
+            result = fn(*args)
+            return lambda: result
+
+        yield run_now
         return
     # imported here: the package import stays free of concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
-    pending = deque()
-    with ThreadPoolExecutor(max_workers=min(workers, ahead)) as pool:
-        for item in items:
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield lambda fn, *args: pool.submit(fn, *args).result
 
 
 def _contract(left, right, corr: np.ndarray) -> np.ndarray:
@@ -325,8 +321,8 @@ def sde_simulate(
     of the record.  Every draw happens on the calling thread, in the order of
     one whole-record draw per quadrature (x0 and noise of u, then of v), so
     the samples are bit-identical to it; with two CPUs one worker thread
-    filters chunk k while chunk k + 1 is drawn (`_ordered_map`).  The working
-    memory is one record plus two chunks.
+    (`_second_core`, one for both quadratures) filters chunk k while chunk
+    k + 1 is drawn.  The working memory is one record plus two chunks.
     """
     # The oracle is the package's only scipy user.  Importing scipy.signal takes
     # 0.87-1.15 s with numpy already loaded (5 runs of -X importtime, 2 cores),
@@ -342,29 +338,29 @@ def sde_simulate(
     beta = np.empty(n, dtype=complex)
     buffers = (np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n)))
 
-    def ou_chain(gamma: float, out: np.ndarray) -> None:
+    def ou_chain(gamma: float, out: np.ndarray, submit) -> None:
         a = 1.0 - gamma * dt / 2
         var_stat = diffusion * dt / (1 - a * a)
         out[0] = x0 = math.sqrt(var_stat) * rng.standard_normal()
-        zi = np.array([a * x0])
 
-        def draws():
-            for k, lo in enumerate(range(1, n, _CHUNK)):
-                noise = buffers[k % 2][: min(_CHUNK, n - lo)]
-                rng.standard_normal(out=noise)
-                noise *= math.sqrt(diffusion * dt)
-                yield lo, noise
-
-        def filtered(chunk) -> None:
-            nonlocal zi
-            lo, noise = chunk
+        def filtered(lo: int, noise: np.ndarray, zi: np.ndarray) -> np.ndarray:
             out[lo : lo + noise.size], zi = lfilter([1.0], [1.0, -a], noise, zi=zi)
+            return zi
 
-        for _ in _ordered_map(filtered, draws(), ahead=1):
-            pass
+        zi, pending = np.array([a * x0]), None
+        for k, lo in enumerate(range(1, n, _CHUNK)):
+            noise = buffers[k % 2][: min(_CHUNK, n - lo)]
+            rng.standard_normal(out=noise)  # while chunk k - 1 is filtered
+            noise *= math.sqrt(diffusion * dt)
+            if pending is not None:
+                zi = pending()
+            pending = submit(filtered, lo, noise, zi)
+        if pending is not None:
+            pending()
 
-    ou_chain(rates.gamma_plus, beta.real)  # squeezed quadrature, width Gamma_+
-    ou_chain(rates.gamma_minus, beta.imag)  # amplified quadrature, width Gamma_-
+    with _second_core() as submit:
+        ou_chain(rates.gamma_plus, beta.real, submit)  # squeezed quadrature, width Gamma_+
+        ou_chain(rates.gamma_minus, beta.imag, submit)  # amplified quadrature, width Gamma_-
     # the scalar stays on the left, which keeps the samples bit-identical to
     # exp(i phi/2) * (u + i v)
     np.multiply(np.exp(1j * rates.phi / 2), beta, out=beta)
@@ -405,10 +401,11 @@ def welch_psd(
     pass `trace.samples, dt=trace.dt` for an EnvelopeTrace.
     Resolution is 1/(segment duration); n_avg records the number of
     (overlapping) segments averaged.  Segments are tapered and transformed in
-    blocks of about `_CHUNK` samples (at least one segment), with two CPUs
-    on two worker threads (`_ordered_map`), into two reused buffer pairs; the
-    calling thread sums the periodograms in segment order, so the result is
-    bit-identical to summing one segment at a time, and the working memory
+    blocks of about `_CHUNK` samples (at least one segment) into two reused
+    buffer pairs, with two CPUs every other block on a worker thread
+    (`_second_core`) while the calling thread transforms the block before;
+    the calling thread sums the periodograms in segment order, so the result
+    is bit-identical to summing one segment at a time, and the working memory
     beyond the output is two blocks and their transforms.
     """
     samples = np.asarray(samples)
@@ -447,11 +444,21 @@ def welch_psd(
         np.multiply(block, taper, out=tapered)
         return transform(tapered, out=spec)
 
-    # squares into one reused array (np.square is the kernel x**2 runs): fresh
-    # temporaries while the workers run fragment the heap and raised the oracle
-    # workload's peak RSS by ~3.5 MB
+    def spectra():
+        """Block transforms in segment order: each odd block on the worker
+        while the caller transforms and yields the even block before it."""
+        with _second_core() as submit:
+            for first in range(0, n_seg, 2 * per_block):
+                second = first + per_block
+                odd = submit(transformed, second) if second < n_seg else None
+                yield transformed(first)
+                if odd is not None:
+                    yield odd()
+
+    # squares into one reused array (np.square is the kernel x**2 runs), so the
+    # sum allocates nothing while the worker runs
     power = np.empty(psd.size)
-    for spec in _ordered_map(transformed, range(0, n_seg, per_block), ahead=2):
+    for spec in spectra():
         for row in spec:
             psd += np.square(row.real, out=power)
             psd += np.square(row.imag, out=power)
