@@ -28,21 +28,20 @@ about one chunk into two reused buffer pairs; `propagate_spectra` solves the
 grid slice by slice, as flat arrays of the inverse's entries, into
 preallocated outputs.
 
-Two loops use a second CPU through `_second_core`, one worker thread that
+Two loops use a second core through `_second_core`, one worker thread that
 each call creates and joins: `sde_simulate` filters chunk k on it while the
-calling thread draws chunk k + 1, and `welch_psd` tapers and transforms
-every other block of segments on it while the calling thread transforms the
-block before and sums the periodograms in segment order.  Every draw and
-every sum stays on the calling thread, in serial order.  No thread outlives
-a call, a one-CPU machine runs both loops serially, and `propagate_spectra`
-stays serial.  Neither chunking nor threading changes a bit of any result.
+calling thread draws chunk k + 1, and `welch_psd`, for segments of `_CHUNK`
+samples or more, tapers and transforms every other segment on it while the
+calling thread transforms the one before and sums the periodograms in
+segment order.  Every draw and every sum stays on the calling thread, in
+serial order.  No thread outlives a call, and `propagate_spectra` stays
+serial.  Neither chunking nor threading changes a bit of any result.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -209,22 +208,10 @@ class EnvelopeTrace:
 
 @contextlib.contextmanager
 def _second_core():
-    """Yield submit(fn, *args), which starts fn(*args) and returns a function
-    that waits for its result and returns it.
-
-    With two or more CPUs fn runs on the one worker thread of a pool that the
-    `with` block creates and joins, so the caller computes while it runs and
-    no thread outlives the block; with one CPU it runs at once on the calling
-    thread.
-    """
-    if (os.cpu_count() or 1) < 2:
-
-        def run_now(fn, *args):
-            result = fn(*args)
-            return lambda: result
-
-        yield run_now
-        return
+    """Yield submit(fn, *args), which starts fn(*args) on the one worker
+    thread of a pool that the `with` block creates and joins, and returns a
+    function that waits for its result and returns it.  The caller computes
+    while fn runs, and no thread outlives the block."""
     # imported here: the package import stays free of concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
@@ -320,9 +307,9 @@ def sde_simulate(
     previous chunk, and the result is written into the real or imaginary part
     of the record.  Every draw happens on the calling thread, in the order of
     one whole-record draw per quadrature (x0 and noise of u, then of v), so
-    the samples are bit-identical to it; with two CPUs one worker thread
-    (`_second_core`, one for both quadratures) filters chunk k while chunk
-    k + 1 is drawn.  The working memory is one record plus two chunks.
+    the samples are bit-identical to it; one worker thread (`_second_core`,
+    one for both quadratures) filters chunk k while chunk k + 1 is drawn.
+    The working memory is one record plus two chunks.
     """
     # The oracle is the package's only scipy user.  Importing scipy.signal takes
     # 0.87-1.15 s with numpy already loaded (5 runs of -X importtime, 2 cores),
@@ -402,10 +389,10 @@ def welch_psd(
     Resolution is 1/(segment duration); n_avg records the number of
     (overlapping) segments averaged.  Segments are tapered and transformed in
     blocks of about `_CHUNK` samples (at least one segment) into two reused
-    buffer pairs, with two CPUs every other block on a worker thread
-    (`_second_core`) while the calling thread transforms the block before;
-    the calling thread sums the periodograms in segment order, so the result
-    is bit-identical to summing one segment at a time, and the working memory
+    buffer pairs; segments of `_CHUNK` samples or more alternate between a
+    worker thread (`_second_core`) and the calling thread.  The calling
+    thread sums the periodograms in segment order, so the result is
+    bit-identical to summing one segment at a time, and the working memory
     beyond the output is two blocks and their transforms.
     """
     samples = np.asarray(samples)
@@ -445,8 +432,15 @@ def welch_psd(
         return transform(tapered, out=spec)
 
     def spectra():
-        """Block transforms in segment order: each odd block on the worker
-        while the caller transforms and yields the even block before it."""
+        """Block transforms in segment order.  A block of segments shorter than
+        `_CHUNK` transforms in about the time a hand-off to the worker takes,
+        so those run on the calling thread; otherwise each odd block runs on
+        the worker while the caller transforms and yields the even block
+        before it."""
+        if segment_length < _CHUNK:
+            for first in range(0, n_seg, per_block):
+                yield transformed(first)
+            return
         with _second_core() as submit:
             for first in range(0, n_seg, 2 * per_block):
                 second = first + per_block
