@@ -32,6 +32,7 @@ from .errors import (
 )
 from .fitter import (
     BiasStudyReport,
+    CampaignReport,
     ExperimentTruth,
     FitResult,
     apply_mask,

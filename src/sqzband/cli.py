@@ -87,9 +87,9 @@ def _truth_from_config(cfg: RunConfig, *, bias: bool = False) -> ExperimentTruth
     )
 
 
-def _rates_payload(rates: DerivedRates) -> dict:
-    payload = {name: getattr(rates, name) / TWO_PI for name, _ in _RATE_FIELDS}
-    payload = {f"{k}_hz": v for k, v in payload.items()}
+def cmd_rates(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
+    rates = derive_all(cfg.params, cfg.pump)
+    payload = {f"{name}_hz": getattr(rates, name) / TWO_PI for name, _ in _RATE_FIELDS}
     payload.update(
         {
             "s": rates.s,
@@ -102,12 +102,6 @@ def _rates_payload(rates: DerivedRates) -> dict:
             "stable": True,
         }
     )
-    return payload
-
-
-def cmd_rates(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
-    rates = derive_all(cfg.params, cfg.pump)
-    payload = _rates_payload(rates)
     print(f"{'quantity':<22}{'value':>18}")
     for name, label in _RATE_FIELDS:
         print(f"{label:<22}{getattr(rates, name) / TWO_PI:>18.6g}  Hz")
@@ -393,40 +387,12 @@ def cmd_experiment(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> No
     settings = cfg.experiment
     if args.n_repeats is not None:
         settings = replace(settings, n_repeats=args.n_repeats)
-    results = recovery_campaign(truth, settings.n_repeats, args.seed, n_jobs=settings.n_jobs)
-    columns = {key: [r[key] for r in results] for key in results[0]}
+    report = recovery_campaign(truth, settings.n_repeats, args.seed, n_jobs=settings.n_jobs)
+    rows, summary = report.rows, report.summary
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
     manifest.record(write_csv(out / "campaign.csv", columns))
-    s_values = np.array(columns["s"])
-    gamma_values = np.array(columns["gamma_eff_hz"])
-    n_values = np.array([v for v in columns["n_bar"] if not math.isnan(v)])
-    s_sigmas = np.array([v for v in columns["s_sigma_fit"] if not math.isnan(v)])
-    summary = {
-        "truth": {
-            "s": truth.s,
-            "gamma_eff_hz": truth.gamma_eff / TWO_PI,
-            "n_bar": truth.n_bar,
-        },
-        "n_repeats": settings.n_repeats,
-        "n_recovered": len(results),
-        "s_mean": float(s_values.mean()),
-        "s_std_ensemble": float(s_values.std(ddof=1)),
-        "s_sigma_fit_mean": float(s_sigmas.mean()) if s_sigmas.size else math.nan,
-        "s_sigma_fit_undefined": len(results) - s_sigmas.size,
-        "s_bias": float(s_values.mean() - truth.s),
-        "gamma_eff_hz_mean": float(gamma_values.mean()),
-        "gamma_eff_hz_std_ensemble": float(gamma_values.std(ddof=1)),
-        "n_bar_mean": float(n_values.mean()) if n_values.size else math.nan,
-        "sigma_note": (
-            "s_sigma_fit_mean is the local-quadratic per-fit error, averaged "
-            "over repeats whose s is off the lower bound (s_sigma_fit_undefined "
-            "counts the others, NaN in campaign.csv); "
-            "*_std_ensemble is the scatter over independent repeats"
-        ),
-    }
     manifest.record(write_json(out / "summary.json", summary))
-    manifest.record(
-        write_csv(out / "overlay.csv", _overlay_columns(truth, args.seed))
-    )
+    manifest.record(write_csv(out / "overlay.csv", _overlay_columns(truth, args.seed)))
     print(
         f"recovered s = {summary['s_mean']:.4f} +/- {summary['s_std_ensemble']:.4f} "
         f"(truth {truth.s}), bias {summary['s_bias']:+.4f}"

@@ -418,7 +418,9 @@ def occupancy(
     Gamma_opt is nonzero.
     """
     if gamma_eff <= 0:
-        raise AntiDampingError("gamma_eff must be positive for a steady state")
+        raise AntiDampingError(
+            f"gamma_eff = {gamma_eff:.3e} rad/s <= 0: pump anti-damps the oscillator"
+        )
     n_bar = (params.gamma_m * params.n_th + a_plus) / gamma_eff + params.n_extra
     n_ba = a_plus / gamma_opt if gamma_opt != 0 else None
     return n_ba, n_bar
@@ -442,14 +444,11 @@ def derive_all(params: SystemParams, pump: PumpConfig) -> DerivedRates:
         field = intracavity_amplitudes(params, pump, omega_m)
         gamma_opt = optical_damping(params, field, omega_m)
         gamma_eff = params.gamma_m + gamma_opt
-        if gamma_eff <= 0:
-            raise AntiDampingError(
-                f"gamma_eff = {gamma_eff:.3e} rad/s <= 0: pump anti-damps the oscillator"
-            )
         gamma_par, phi = parametric_rate(params, field, omega_m)
         a_minus, a_plus = scattering_rates(params, field, omega_m)
-        s = gamma_par / gamma_eff
+        # occupancy raises AntiDampingError for gamma_eff <= 0, before the division
         n_ba, n_bar = occupancy(params, gamma_eff=gamma_eff, a_plus=a_plus, gamma_opt=gamma_opt)
+        s = gamma_par / gamma_eff
         d0, _, _ = _sideband_denominators(params.kappa, params.delta, omega_m)
         anomalous = (
             -params.g0**2 * params.kappa * field.alpha_minus.conjugate() * field.alpha_plus / d0

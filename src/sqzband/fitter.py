@@ -35,6 +35,10 @@ them, so an evaluation takes no fresh pages from the allocator.  A thread's
 fits run one after another and never nest: a fit started inside another on
 the same thread would overwrite its arrays.  Threads never share them,
 because numpy releases the interpreter lock while it writes.
+
+Both batch studies, `bias_study` and `recovery_campaign`, run `_trial_fits`
+through one runner, `_run_trials`, and read the same usable-trial records;
+their reports, `BiasStudyReport` and `CampaignReport`, are built here only.
 """
 
 from __future__ import annotations
@@ -151,6 +155,15 @@ class BiasStudyReport:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     valid: bool
+
+
+@dataclass(frozen=True)
+class CampaignReport:
+    """Recovered values per usable repeat, in repeat order (the rows of
+    campaign.csv), and their ensemble summary (summary.json)."""
+
+    rows: list[dict]
+    summary: dict
 
 
 class _Basis(NamedTuple):
@@ -491,16 +504,6 @@ _S_SCAN = (0.02, 0.08, 0.18, 0.32, 0.5, 0.7, 0.9)
 _Q_SCAN = tuple(_logit(s / S_MAX) for s in _S_SCAN)
 
 
-@np.errstate(all="ignore")  # as in _run_weighted_fit
-def _scan_linear_start(proj, c1, c2) -> float:
-    """q of the best point of a coarse s grid, at the projection's weights.
-
-    Each grid point costs one linear solve for floor and areas; this puts the
-    nonlinear polish close to the optimum."""
-    costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in _Q_SCAN]
-    return _Q_SCAN[int(np.argmin(costs))]
-
-
 def fit_double_pair(
     data: SpectrumData,
     gamma_eff_fixed: float,
@@ -523,7 +526,11 @@ def fit_double_pair(
         c1, c2 = init_hint["center_1_hz"], init_hint["center_2_hz"]
     else:
         c1, c2, _ = _initial_guess(freq, psd)
-    q0 = _scan_linear_start(proj, c1, c2)
+    # q starts at the best point of a coarse s grid, one linear solve for floor
+    # and areas each, which puts the nonlinear polish close to the optimum
+    with np.errstate(all="ignore"):  # as in _run_weighted_fit
+        costs = [float(np.sum(proj.residual((c1, c2, q)) ** 2)) for q in _Q_SCAN]
+    q0 = _Q_SCAN[int(np.argmin(costs))]
     res, params, sigmas, chi2 = _run_weighted_fit(proj, (c1, c2, q0), data.n_avg)
     e = _expit(params["q"])
     s_hat = float(S_MAX * e)
@@ -587,9 +594,11 @@ def _trial_fits(truth: ExperimentTruth, seed: int):
 
 def _run_trials(
     truth: ExperimentTruth, n_trials: int, root_seed: int, n_jobs: int, chunksize: int
-) -> list:
-    """`_trial_fits` of each trial's seed, in trial order, on `n_jobs` processes,
-    at most one per CPU (the pool starts all its workers at once)."""
+) -> list[tuple[int, FitResult, FitResult]]:
+    """(index, off, on) of each usable trial, in trial order: `_trial_fits` of
+    each trial's seed on `n_jobs` processes, at most one per CPU (the pool
+    starts all its workers at once)."""
+    check_value("n_jobs", n_jobs, at_least(1))
     args = (repeat(truth, n_trials), (task_seed(root_seed, i) for i in range(n_trials)))
     workers = min(n_jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -597,8 +606,10 @@ def _run_trials(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_trial_fits, *args, chunksize=chunksize))
-    return list(map(_trial_fits, *args))
+            results = list(pool.map(_trial_fits, *args, chunksize=chunksize))
+    else:
+        results = map(_trial_fits, *args)
+    return [(index, *fits) for index, fits in enumerate(results) if fits is not None]
 
 
 def bias_study(
@@ -613,8 +624,8 @@ def bias_study(
     if truth.s != 0:
         raise ValueError("bias study is defined for s = 0 truth")
     check_value("n_trials", n_trials, at_least(MIN_BIAS_TRIALS))
-    results = _run_trials(truth, n_trials, root_seed, n_jobs, chunksize=32)
-    values = np.array([fits[1].params["s"] for fits in results if fits is not None], dtype=float)
+    trials = _run_trials(truth, n_trials, root_seed, n_jobs, chunksize=32)
+    values = np.array([on.params["s"] for _, _, on in trials], dtype=float)
     n_failed = n_trials - values.size
     if values.size < 2:
         raise FitFailureError("bias study produced fewer than 2 usable fits")
@@ -638,27 +649,50 @@ def bias_study(
 
 def recovery_campaign(
     truth: ExperimentTruth, n_repeats: int, root_seed: int, n_jobs: int = 1
-) -> list[dict]:
-    """Repeated synth -> two-stage-fit rounds; per-repeat recovered values."""
-    results = _run_trials(truth, n_repeats, root_seed, n_jobs, chunksize=8)
-    kept = []
-    for index, fits in enumerate(results):
-        if fits is not None:
-            off, on = fits
-            kept.append(
-                {
-                    "index": index,
-                    "s": on.params["s"],
-                    "s_sigma_fit": on.sigmas["s"],
-                    "gamma_eff_hz": off.params["gamma_eff_hz"],
-                    "r0": off.ratios.r0,
-                    "r_plus": on.ratios.r_plus,
-                    "r_minus": on.ratios.r_minus,
-                    "n_bar": off.n_bar_inferred,
-                }
-            )
-    if len(kept) < 0.5 * n_repeats:
+) -> CampaignReport:
+    """Repeated synth -> two-stage-fit rounds: per-repeat recovered values
+    and their ensemble summary.  Raises FitFailureError when more than half
+    of the repeats fail, or fewer than 2 are usable."""
+    check_value("n_repeats", n_repeats, at_least(2))
+    rows = [
+        {
+            "index": index,
+            "s": on.params["s"],
+            "s_sigma_fit": on.sigmas["s"],
+            "gamma_eff_hz": off.params["gamma_eff_hz"],
+            "r0": off.ratios.r0,
+            "r_plus": on.ratios.r_plus,
+            "r_minus": on.ratios.r_minus,
+            "n_bar": off.n_bar_inferred,
+        }
+        for index, off, on in _run_trials(truth, n_repeats, root_seed, n_jobs, chunksize=8)
+    ]
+    if len(rows) < 0.5 * n_repeats:
         raise FitFailureError("more than half of the campaign repeats failed to fit")
-    if len(kept) < 2:
+    if len(rows) < 2:
         raise FitFailureError("campaign produced fewer than 2 usable fits")
-    return kept
+    s, gamma = (np.array([row[key] for row in rows]) for key in ("s", "gamma_eff_hz"))
+    n_bar, s_sigma = (
+        np.array([row[key] for row in rows if not math.isnan(row[key])])
+        for key in ("n_bar", "s_sigma_fit")
+    )
+    summary = {
+        "truth": {"s": truth.s, "gamma_eff_hz": truth.gamma_eff / TWO_PI, "n_bar": truth.n_bar},
+        "n_repeats": n_repeats,
+        "n_recovered": len(rows),
+        "s_mean": float(s.mean()),
+        "s_std_ensemble": float(s.std(ddof=1)),
+        "s_sigma_fit_mean": float(s_sigma.mean()) if s_sigma.size else math.nan,
+        "s_sigma_fit_undefined": len(rows) - s_sigma.size,
+        "s_bias": float(s.mean() - truth.s),
+        "gamma_eff_hz_mean": float(gamma.mean()),
+        "gamma_eff_hz_std_ensemble": float(gamma.std(ddof=1)),
+        "n_bar_mean": float(n_bar.mean()) if n_bar.size else math.nan,
+        "sigma_note": (
+            "s_sigma_fit_mean is the local-quadratic per-fit error, averaged "
+            "over repeats whose s is off the lower bound (s_sigma_fit_undefined "
+            "counts the others, NaN in campaign.csv); "
+            "*_std_ensemble is the scatter over independent repeats"
+        ),
+    }
+    return CampaignReport(rows, summary)

@@ -158,7 +158,7 @@ def test_criterion_7_recovery_study():
         truth = ExperimentTruth(
             gamma_eff=TWO_PI * 100.0, s=0.53, n_bar=5.8, center_hz=530e3, detection=det
         )
-        rows = recovery_campaign(truth, n_repeats=100, root_seed=2024, n_jobs=2)
+        rows = recovery_campaign(truth, n_repeats=100, root_seed=2024, n_jobs=2).rows
         assert len(rows) == 100
         values = np.array([row["s"] for row in rows])
         std = values.std(ddof=1)

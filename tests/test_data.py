@@ -336,7 +336,7 @@ class TestParallelDeterminism:
         truth = cli._truth_from_config(load_config(PAPER_CONFIG))
         serial = recovery_campaign(truth, n_repeats=8, root_seed=5, n_jobs=1)
         parallel = recovery_campaign(truth, n_repeats=8, root_seed=5, n_jobs=2)
-        assert [row["index"] for row in serial] == list(range(8))
+        assert [row["index"] for row in serial.rows] == list(range(8))
         assert serial == parallel
 
     def test_pool_starts_at_most_one_worker_per_cpu(self, monkeypatch):

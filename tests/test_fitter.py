@@ -431,22 +431,47 @@ class TestBiasStudy:
             bias_study(truth_for(0.2), n_trials=100, root_seed=1)
         with pytest.raises(ValueError):
             bias_study(truth_for(0.0), n_trials=50, root_seed=1)
+        for n_jobs in (0, -3):
+            with pytest.raises(ValueError, match="n_jobs"):
+                bias_study(truth_for(0.0), n_trials=100, root_seed=1, n_jobs=n_jobs)
 
 
 class TestRecoveryCampaign:
     def test_reports_all_fields(self):
         truth = truth_for(0.53)
-        rows = recovery_campaign(truth, n_repeats=8, root_seed=3)
+        report = recovery_campaign(truth, n_repeats=8, root_seed=3)
+        rows = report.rows
         assert len(rows) == 8
         for key in ("s", "gamma_eff_hz", "r0", "r_plus", "r_minus", "n_bar"):
             assert all(key in row for row in rows)
-        assert rows == recovery_campaign(truth, n_repeats=8, root_seed=3)
+        assert report.summary.keys() == {
+            "truth",
+            "n_repeats",
+            "n_recovered",
+            "s_mean",
+            "s_std_ensemble",
+            "s_sigma_fit_mean",
+            "s_sigma_fit_undefined",
+            "s_bias",
+            "gamma_eff_hz_mean",
+            "gamma_eff_hz_std_ensemble",
+            "n_bar_mean",
+            "sigma_note",
+        }
+        assert report.summary["n_recovered"] == len(rows)
+        assert report == recovery_campaign(truth, n_repeats=8, root_seed=3)
+
+    def test_requires_two_repeats_and_a_worker(self):
+        # argument errors, not fit failures: no trial runs
+        for n_repeats, n_jobs in ((1, 1), (0, 1), (2, 0), (2, -3)):
+            with pytest.raises(ValueError, match="n_repeats" if n_repeats < 2 else "n_jobs"):
+                recovery_campaign(truth_for(0.53), n_repeats, root_seed=5, n_jobs=n_jobs)
 
 
 class TestSigmaCalibration:
     def test_pull_of_s_has_unit_width(self):
         # criterion-7 settings: (s - 0.53) / sigma_s over 200 repeats
-        rows = recovery_campaign(truth_for(0.53), n_repeats=200, root_seed=2024)
+        rows = recovery_campaign(truth_for(0.53), n_repeats=200, root_seed=2024).rows
         assert len(rows) == 200
         pull = np.array([(row["s"] - 0.53) / row["s_sigma_fit"] for row in rows])
         assert abs(pull.std(ddof=1) - 1) <= 0.15
