@@ -44,12 +44,10 @@ from .fitter import (
 )
 from .lineshape import (
     Lorentzian,
-    QuadratureSpec,
     Ratios,
     SpectrumModel,
     antistokes_spectrum,
     heterodyne_composite,
-    quadrature_spec,
     quadrature_spectrum,
     quadrature_variances,
     sideband_areas,

@@ -59,6 +59,10 @@ class SweepSettings:
             raise ConfigError("sweep start must be below stop")
         if self.s_table and self.axis != "gamma_eff":
             raise ConfigError(f"s_table: not read on the {self.axis} axis")
+        for width_hz, s in self.s_table:
+            check_value("s_table width", width_hz, POSITIVE, ConfigError)
+            if not abs(s) < 1:  # nan and inf fail too
+                raise ConfigError(f"s_table s must be finite with |s| < 1, got {s}")
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,9 @@ def check_value(name: str, value, domain: dict, error=ValueError):
 
 
 def check_domains(obj, error=ValueError) -> None:
-    """Each field of dataclass `obj` that declares a domain, checked (None is unset)."""
+    """Each field of dataclass `obj` that declares a domain, checked."""
     for f in fields(obj):
-        if "domain" in f.metadata and getattr(obj, f.name) is not None:
+        if "domain" in f.metadata:
             check_value(f.name, getattr(obj, f.name), f.metadata, error)
 
 

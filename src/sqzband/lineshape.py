@@ -10,7 +10,9 @@ Areas are reported as integrals over dW/2pi, so the Stokes minus anti-Stokes
 area difference is exactly 1 (ladder-operator commutator) for every (n, s).
 Quadrature spectra are single Lorentzians of width Gamma_+ (squeezed Y) and
 Gamma_- (amplified X) at the special angles, two-Lorentzian mixtures
-otherwise.  Spectra are even in s: the two components swap.
+otherwise; `quadrature_variances` gives the variances at the two special
+angles, the only ones sqzband reports.  Spectra are even in s: the two
+components swap.
 
 Grids here are angular offsets (rad/s); PSD values are per (dW/2pi), which
 makes them numerically identical to a per-Hz density on an f = dW/2pi grid.
@@ -75,10 +77,6 @@ class SpectrumModel:
         total = sum((c.psd(omega) for c in self.components), np.zeros_like(omega))
         return self.floor + self.calibration * total
 
-    def psd_hz(self, freq_hz) -> np.ndarray:
-        """Same model sampled on an ordinary-frequency grid (Hz)."""
-        return self.psd(2 * math.pi * np.asarray(freq_hz, dtype=float))
-
 
 @dataclass(frozen=True)
 class Ratios:
@@ -87,18 +85,6 @@ class Ratios:
     r0: float
     r_plus: float
     r_minus: float
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature angle and its variance in absolute units (sigma0^2 = (2n+1)/4)."""
-
-    theta: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
 
 
 def _component_weights(n_bar: float, s: float, stokes: bool) -> tuple[float, float]:
@@ -180,32 +166,6 @@ def quadrature_variances(n_bar: float, s: float) -> tuple[float, float, float]:
     """(sigma_X^2, sigma_Y^2, sigma_0^2) with sigma_0^2 = (2n+1)/4."""
     sigma0_sq = (2 * n_bar + 1) / 4
     return sigma0_sq / (1 - s), sigma0_sq / (1 + s), sigma0_sq
-
-
-def quadrature_spec(rates: DerivedRates, n_bar: float, theta: float) -> QuadratureSpec:
-    """Exact variance of X_theta by partial-fraction integration of its spectrum.
-
-    With p = Gamma_+/2, m = Gamma_-/2 and J(a2) the integral of
-    (dW^2 + a2)/((dW^2+p^2)(dW^2+m^2)) over dW/2pi, the variance is
-    [G_eff (2n+1) J(|w|^2) + 2 Re(e^{2i theta} c_anom J(w^2))]/4; at the
-    special angles it reduces to sigma_0^2/(1 pm s).
-    """
-    p = rates.gamma_plus / 2
-    m = rates.gamma_minus / 2
-    w = rates.gamma_eff / 2 - (rates.gamma_par / 2) * np.exp(-1j * (2 * theta + rates.phi))
-
-    def integral(a_sq):
-        if p == m:
-            # equal widths: (x^2 + a2)/(x^2 + p^2)^2 integrates to
-            # (1/(2p)) (1 + (a2 - p^2)/(2 p^2)) over dW/2pi
-            return (1 + (a_sq - p * p) / (2 * p * p)) / (2 * p)
-        return ((a_sq - p * p) / (m * m - p * p)) / (2 * p) + (
-            (a_sq - m * m) / (p * p - m * m)
-        ) / (2 * m)
-
-    diag = rates.gamma_eff * (2 * n_bar + 1) * integral(abs(w) ** 2)
-    anom = 2 * (np.exp(2j * theta) * rates.anomalous * integral(w * w)).real
-    return QuadratureSpec(theta=theta, variance=(diag + anom) / 4)
 
 
 def sideband_ratios(n_bar: float, s: float) -> Ratios:

@@ -92,9 +92,6 @@ class TransferMatrix:
         # scalar product rounds differently (no fused multiply-add)
         return a, a * a - np.multiply([o01], [o10])[0]
 
-    def determinant(self, grid) -> np.ndarray:
-        return self._diagonal_and_determinant(grid)[1]
-
     def _solve(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries (diagonal, upper, lower) of the inverse at each bin: the
         adjugate over the determinant, both formed from the matrix entries.
@@ -107,16 +104,6 @@ class TransferMatrix:
             raise np.linalg.LinAlgError("singular transfer matrix")
         o01, o10 = self._off_diagonal()
         return a / det, -o01 / det, -o10 / det
-
-    def inverse(self, grid) -> np.ndarray:
-        """Inverse of the stacked 2x2 systems, shape grid.shape + (2, 2); see
-        `_solve`."""
-        diagonal, upper, lower = self._solve(grid)
-        inv = np.empty(diagonal.shape + (2, 2), dtype=complex)
-        inv[..., 0, 0] = inv[..., 1, 1] = diagonal
-        inv[..., 0, 1] = upper
-        inv[..., 1, 0] = lower
-        return inv
 
     def condition_numbers(self, grid) -> np.ndarray:
         """Exact 2-norm condition number (the matrix is normal, so the
@@ -237,7 +224,7 @@ def propagate_spectra(
     """Sideband and quadrature spectra by frequency-domain covariance propagation.
 
     At each offset the 2x2 system is solved (adjugate over determinant, see
-    `TransferMatrix.inverse`) and the solution rows are contracted with the
+    `TransferMatrix._solve`) and the solution rows are contracted with the
     correlator matrix: T(-dW)[left, :] M T(+dW)[right, :]; quadrature rows are
     (e^{i th} T[0,:] + e^{-i th} T[1,:]) / 2.  Outputs are symmetrized over
     +/- offsets (see module docstring).  The solve runs over slices of the

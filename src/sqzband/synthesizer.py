@@ -34,7 +34,7 @@ from .core import at_least, check_domains, check_value, derive_all
 from .data import OnOffPair, SpectrumData
 from .errors import GridError
 from .lineshape import heterodyne_composite
-from .oracle import EnvelopeTrace, sde_simulate, welch_psd
+from .oracle import EnvelopeTrace, quadrature_series, sde_simulate, welch_psd
 from .seeding import task_rng, task_seed
 
 # largest synthesis grid: 88x paper.ini's 113 003 bins, 80 MB per float64 array
@@ -45,8 +45,8 @@ MAX_GRID_BINS = 10_000_000
 class DetectionConfig:
     """Heterodyne detection and averaging settings (Hz at this boundary).
 
-    `calibration` maps model PSD to detector units; when None it is chosen
-    so the drive-off Stokes peak sits `snr` times above the floor.
+    The gain from model PSD to detector units is not a setting: it puts the
+    drive-off Stokes peak `snr` times above the floor (`resolve_calibration`).
     `band_halfwidth_hz` sets the fitted window around each sideband center;
     synthetic spectra hold only the grid bins inside the two windows,
     emulating the restricted fit regions of the analysis.  Besides each
@@ -60,7 +60,6 @@ class DetectionConfig:
     band_halfwidth_hz: float = field(default=300.0, metadata=POSITIVE)
     floor: float = field(default=1.0, metadata=NONNEGATIVE)
     snr: float = field(default=30.0, metadata=NONNEGATIVE)
-    calibration: float | None = field(default=None, metadata=NONNEGATIVE)
     n_avg: int = field(default=10, metadata=at_least(1))
 
     def __post_init__(self):
@@ -79,8 +78,6 @@ class DetectionConfig:
 
     def resolve_calibration(self, rates: DerivedRates, n_bar: float) -> float:
         """Peak-to-floor SNR -> gain, referenced to the drive-off Stokes peak."""
-        if self.calibration is not None:
-            return self.calibration
         peak = 4 * (n_bar + 1) / rates.gamma_eff  # s = 0 Stokes peak PSD
         return self.snr * self.floor / peak
 
@@ -205,7 +202,7 @@ def lockin_demodulate(
     freq = np.fft.fftfreq(n, d=trace.dt)
     spec[np.abs(freq) > lowpass_cutoff] = 0.0
     lowpassed = np.fft.ifft(spec)
-    return (np.exp(1j * theta) * lowpassed).real / math.sqrt(2)
+    return quadrature_series(EnvelopeTrace(lowpassed, trace.dt), theta) / math.sqrt(2)
 
 
 def segment_average(samples, segment_seconds: float, *, dt: float) -> SpectrumData:

@@ -768,6 +768,14 @@ class TestFormatOption:
         assert exc.value.code == 2
 
 
+def _s_table_edit(table):
+    """paper.ini's [sweep] on the gamma_eff axis from 50 to 500 Hz, with `table` as s_table."""
+    return (
+        "axis = detuning_delta\nstart = -4.0e5\nstop = 4.0e5",
+        f"axis = gamma_eff\nstart = 50.0\nstop = 500.0\ns_table = {table}",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, edit",
     # each id is the positional one the row had in the first version of this table, kept
@@ -827,6 +835,10 @@ class TestFormatOption:
             ("temperature_k = 7.0", "temperature_k = 7.0\nn_th = 1234.0"),
             id="argv51-edit51",
         ),
+        pytest.param(["sweep"], _s_table_edit("50:1.5; 500:2.0"), id="argv52-edit52"),
+        pytest.param(["sweep"], _s_table_edit("50:nan; 500:0.5"), id="argv53-edit53"),
+        pytest.param(["sweep"], _s_table_edit("50:inf"), id="argv54-edit54"),
+        pytest.param(["sweep"], _s_table_edit("nan:0.3; 500:0.4"), id="argv55-edit55"),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):

@@ -59,7 +59,7 @@ def noiseless_pair(truth):
             rates, truth.n_bar, det.delta_lo, cal, det.floor, TWO_PI * freq
         )
         out[label] = SpectrumData(
-            freq_hz=freq, psd=model.psd_hz(freq), n_avg=det.n_avg, mask=mask
+            freq_hz=freq, psd=model.psd(TWO_PI * freq), n_avg=det.n_avg, mask=mask
         ), model
     return out["off"], out["on"], cal
 
@@ -435,6 +435,33 @@ class TestBiasStudy:
             with pytest.raises(ValueError, match="n_jobs"):
                 bias_study(truth_for(0.0), n_trials=100, root_seed=1, n_jobs=n_jobs)
 
+    def test_trial_whose_fit_raises_is_dropped_and_counted(self, monkeypatch):
+        # serial, so the third call fits trial 2; every other trial of both studies converges
+        real_fit = fitter.fit_pair_two_stage
+        calls = []
+
+        def fit_raising_on_third_call(off, on):
+            calls.append(None)
+            if len(calls) == 3:
+                raise GridError("no fit")
+            return real_fit(off, on)
+
+        expected = recovery_campaign(truth_for(0.53), n_repeats=4, root_seed=3).rows
+        monkeypatch.setattr(fitter, "fit_pair_two_stage", fit_raising_on_third_call)
+        rows = recovery_campaign(truth_for(0.53), n_repeats=4, root_seed=3, n_jobs=1).rows
+        assert [row["index"] for row in rows] == [0, 1, 3]
+        assert rows == [expected[0], expected[1], expected[3]]
+        calls.clear()
+        report = bias_study(truth_for(0.0), n_trials=100, root_seed=9, n_jobs=1)
+        assert report.n_failed == 1
+        assert report.hist_counts.sum() == 99
+
+    def test_every_trial_failing_raises(self):
+        # no floor gives no gain: every spectrum is zero, and no fit of it succeeds
+        det = DetectionConfig(delta_lo_hz=1.1e3, floor=0.0, n_avg=10)
+        with pytest.raises(FitFailureError, match="fewer than 2 usable fits"):
+            bias_study(truth_for(0.0, detection=det), n_trials=100, root_seed=1)
+
 
 class TestRecoveryCampaign:
     def test_reports_all_fields(self):
@@ -512,7 +539,7 @@ class TestDegenerateSpectra:
 
     def test_failed_trials_counted_not_raised(self):
         # no floor and no gain: every spectrum is zero, and no fit of it succeeds
-        det = DetectionConfig(delta_lo_hz=1.1e3, floor=0.0, calibration=0.0, n_avg=10)
+        det = DetectionConfig(delta_lo_hz=1.1e3, floor=0.0, n_avg=10)
         truth = truth_for(0.53, detection=det)
         assert fitter._trial_fits(truth, task_seed(1, 0)) is None
         with pytest.raises(FitFailureError, match="more than half"):

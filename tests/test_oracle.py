@@ -92,6 +92,12 @@ def one_segment_at_a_time(samples, segment_length, overlap_fraction, window, dt)
     return psd
 
 
+def stacked_inverse(tm, grid):
+    """The (n, 2, 2) inverse assembled from `TransferMatrix._solve`'s entries."""
+    diagonal, upper, lower = tm._solve(grid)
+    return np.stack([np.stack([diagonal, upper], -1), np.stack([lower, diagonal], -1)], -2)
+
+
 class TestTransferMatrix:
     def test_determinant_factorization(self):
         rng = np.random.default_rng(17)
@@ -100,7 +106,7 @@ class TestTransferMatrix:
             s = rng.uniform(-0.95, 0.95)
             tm = TransferMatrix(gamma_eff, s * gamma_eff, rng.uniform(0, TWO_PI))
             grid = rng.uniform(-20, 20, size=64) * gamma_eff
-            det = tm.determinant(grid)
+            _, det = tm._diagonal_and_determinant(grid)
             gp, gm = gamma_eff * (1 + s), gamma_eff * (1 - s)
             expected = (-1j * grid + gp / 2) * (-1j * grid + gm / 2)
             assert np.all(np.abs(det - expected) < 1e-12 * np.abs(det))
@@ -108,7 +114,7 @@ class TestTransferMatrix:
     def test_inverse_solves_system(self):
         tm = TransferMatrix(100.0, 55.0, 0.4)
         grid = np.linspace(-300, 300, 7)
-        m, inv = tm.matrix(grid), tm.inverse(grid)
+        m, inv = tm.matrix(grid), stacked_inverse(tm, grid)
         prod = np.einsum("nij,njk->nik", m, inv)
         assert np.allclose(prod, np.eye(2), atol=1e-12)
 
@@ -116,7 +122,7 @@ class TestTransferMatrix:
     def test_inverse_near_instability(self, sign):
         tm = TransferMatrix(100.0, 99.9, 0.4)  # s = 0.999
         grid = sign * np.linspace(-300, 300, 601)  # passes through 0
-        m, inv = tm.matrix(grid), tm.inverse(grid)
+        m, inv = tm.matrix(grid), stacked_inverse(tm, grid)
         err = np.abs(np.einsum("nij,njk->nik", m, inv) - np.eye(2)).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * tm.condition_numbers(grid))
 
@@ -126,12 +132,12 @@ class TestTransferMatrix:
         # (at other phases e^{i phi} e^{-i phi} need not round to 1)
         tm = TransferMatrix(100.0, gamma_par, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
-            tm.inverse(np.array([-1.0, 0.0, 1.0]))
+            tm._solve(np.array([-1.0, 0.0, 1.0]))
 
     def test_non_finite_determinant_raises(self):
         tm = TransferMatrix(100.0, 55.0, 0.4)
         with pytest.raises(np.linalg.LinAlgError):
-            tm.inverse(np.array([0.0, 1e200]))  # determinant overflows
+            tm._solve(np.array([0.0, 1e200]))  # determinant overflows
 
 
 class TestNoiseCorrelators:

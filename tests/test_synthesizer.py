@@ -37,12 +37,12 @@ class TestSynthPeriodogram:
     def test_large_averages_recover_model(self):
         freq = np.linspace(0, 100, 64)
         model = flat_model(3.0)
-        data = synth_periodogram(model.psd_hz(freq), freq, n_avg=10**6, seed=5)
+        data = synth_periodogram(model.psd(TWO_PI * freq), freq, n_avg=10**6, seed=5)
         assert np.all(np.abs(data.psd / 3.0 - 1) < 0.005)
 
     def test_relative_scatter_matches_gamma_law(self):
         freq = np.linspace(0, 100, 101)
-        mean = flat_model(1.0).psd_hz(freq)
+        mean = flat_model(1.0).psd(TWO_PI * freq)
         draws = np.stack(
             [synth_periodogram(mean, freq, n_avg=10, seed=k).psd for k in range(100)]
         )
@@ -53,7 +53,7 @@ class TestSynthPeriodogram:
 
     def test_deterministic_per_seed(self):
         freq = np.linspace(0, 10, 32)
-        mean = flat_model().psd_hz(freq)
+        mean = flat_model().psd(TWO_PI * freq)
         a = synth_periodogram(mean, freq, n_avg=7, seed=42)
         b = synth_periodogram(mean, freq, n_avg=7, seed=42)
         assert np.array_equal(a.psd, b.psd)
@@ -65,7 +65,7 @@ class TestSynthPeriodogram:
         )
         freq = np.linspace(-5, 5, 11)
         with pytest.raises(ValueError):
-            synth_periodogram(bad.psd_hz(freq), freq, n_avg=5, seed=1)
+            synth_periodogram(bad.psd(TWO_PI * freq), freq, n_avg=5, seed=1)
 
 
 class TestSynthTimeseries:
@@ -327,10 +327,8 @@ class TestOnOffPair:
         values = [off_r0(f) for f in fractions]
         assert values[0] > values[1] > values[2]
 
-    def test_explicit_calibration_wins_over_snr(self):
+    def test_snr_sets_the_drive_off_stokes_peak(self):
         rates = DerivedRates.from_effective(TWO_PI * 100, 0.0, n_bar=5.8)
-        det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=300.0, calibration=2.5)
-        assert det.resolve_calibration(rates, 5.8) == 2.5
         auto = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=300.0, snr=30.0)
         cal = auto.resolve_calibration(rates, 5.8)
         peak = cal * 4 * (5.8 + 1) / rates.gamma_eff
