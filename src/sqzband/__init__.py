@@ -45,7 +45,6 @@ from .fitter import (
 from .lineshape import (
     Lorentzian,
     Ratios,
-    SpectrumModel,
     antistokes_spectrum,
     heterodyne_composite,
     quadrature_spectrum,
@@ -70,7 +69,6 @@ from .synthesizer import (
     DetectionConfig,
     band_mask,
     lockin_demodulate,
-    make_onoff_pair,
     segment_average,
     synth_onoff_from_rates,
     synth_periodogram,

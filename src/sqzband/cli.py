@@ -39,7 +39,7 @@ from .lineshape import (
     stokes_spectrum,
 )
 from .svgplot import write_svg
-from .synthesizer import MAX_GRID_BINS, check_grid_step, make_onoff_pair
+from .synthesizer import MAX_GRID_BINS, check_grid_step, synth_onoff_from_rates
 
 _RATE_FIELDS = (
     ("omega_m", "effective resonance"),
@@ -220,7 +220,9 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
 
 def cmd_synth(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
     if args.level == "physical":
-        pair = make_onoff_pair(cfg.params, cfg.pump, cfg.detection, args.seed)
+        rates = derive_all(cfg.params, cfg.pump)  # drive off: only gamma_par drops
+        off = rates.without_parametric_drive()
+        pair = synth_onoff_from_rates(rates, off, rates.n_bar, cfg.detection, args.seed)
     else:
         pair = _truth_from_config(cfg).synth_pair(args.seed)
     for name, spectrum in (("drive_on", pair.drive_on), ("drive_off", pair.drive_off)):
@@ -367,8 +369,9 @@ def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
     data = truth.synth_pair(seed).drive_on
     cal = truth.detection.resolve_calibration(rates_off, truth.n_bar)
     grid = TWO_PI * data.freq_hz
-    model, curve = heterodyne_composite(
-        rates_on, truth.n_bar, truth.detection.delta_lo, cal, truth.detection.floor, grid
+    floor = truth.detection.floor
+    components, curve = heterodyne_composite(
+        rates_on, truth.n_bar, truth.detection.delta_lo, cal, floor, grid
     )
     cols = {
         "freq_hz": data.freq_hz,
@@ -377,8 +380,8 @@ def _overlay_columns(truth: ExperimentTruth, seed: int) -> dict:
         "model_total": curve,
     }
     labels = ("stokes_narrow", "stokes_broad", "antistokes_narrow", "antistokes_broad")
-    for label, comp in zip(labels, model.components):
-        cols[label] = model.floor + model.calibration * comp.psd(grid)
+    for label, comp in zip(labels, components):
+        cols[label] = floor + cal * comp.psd(grid)
     return cols
 
 
@@ -422,11 +425,14 @@ def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 
 
 def cmd_rerun(args) -> int:
-    record = RunManifest.load(args.manifest)
-    argv = list(record["arguments"]["argv"])
+    try:
+        record = RunManifest.load(args.manifest)
+        argv, recorded_config = list(record["arguments"]["argv"]), record["config_snapshot"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{args.manifest}: not a readable manifest ({exc!r})") from None
     # argparse keeps the last of a repeated option, in either of its forms
     snapshot = Path(args.manifest).parent / "config_snapshot.ini"
-    if record["config_snapshot"] and snapshot.exists():
+    if recorded_config and snapshot.exists():
         argv += ["--config", str(snapshot)]
     if args.out_dir:
         argv += ["--out-dir", args.out_dir]
@@ -456,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=False):
         p.add_argument("--config", required=True, help="INI config file")
         if seeded:
-            p.add_argument("--seed", type=int, default=1234, help="root seed")
+            p.add_argument(
+                "--seed", type=_checked(int, at_least(0)), default=1234, help="root seed"
+            )
         p.add_argument("--out-dir", default=None, help="output directory")
 
     p = sub.add_parser("rates", help="derived rates and stability flags")

@@ -2,8 +2,8 @@
 
 Physics lives in [cavity], [mechanics], [pump] and [bath]; frequencies are
 given in Hz, temperatures in K, pump amplitudes as ``magnitude, phase_deg``
-pairs.  This module is the single place where Hz values are converted to
-angular rates.  Tool sections ([detection], [experiment], [sweep], [bias])
+pairs; `SystemParams.from_hz` turns the physics values into angular rates.
+Tool sections ([detection], [experiment], [sweep], [bias]) keep Hz until read,
 configure synthesis, campaigns and sweeps and are optional; each holds one
 key per field of its settings dataclass ([bias] also those of [detection]),
 whose defaults are the only defaults; [sweep] start and stop have none and
@@ -125,7 +125,7 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     for section in ("cavity", "mechanics", "pump", "bath"):

@@ -9,8 +9,10 @@ damping, self-consistent resonance shift, parametric rate, Stokes /
 anti-Stokes scattering rates and occupancies.
 
 Units: every rate and frequency in this module is angular (rad/s).  The
-config layer is the single place where Hz from user input are multiplied
-by 2*pi.
+physics config sections enter in Hz through `SystemParams.from_hz`; the
+model-level Hz settings are multiplied by 2*pi where they are read:
+`cli._truth_from_config`, `ExperimentTruth.rates_pair` (center_hz),
+`DetectionConfig.delta_lo` and the detuning and gamma_eff sweep axes.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class SystemParams:
         temperature_k: float | None = None,
         n_extra: float = 0.0,
     ) -> "SystemParams":
-        """Build from user-facing Hz values (the one Hz -> rad/s boundary).
+        """Build from user-facing Hz values (the physics sections' Hz -> rad/s step).
 
         kappa_in defaults to kappa/2 (symmetric cavity).  n_th may be given
         directly or through a bath temperature; an explicit n_th wins.

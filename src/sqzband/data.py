@@ -104,13 +104,21 @@ class SpectrumData:
 
     @classmethod
     def from_csv(cls, path) -> "SpectrumData":
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GridError(f"cannot read {path}: {exc}") from None
         try:
             meta, freq, psd, mask = _parse_block(lines)
         except ValueError:
             meta, freq, psd, mask = _parse_rows(path, lines)
+        if not isinstance(meta, dict):
+            raise GridError(f"{path}: the meta line is not a JSON object")
         try:
             n_avg = int(meta.pop("n_avg", 1))
+        except (TypeError, ValueError, OverflowError):  # null, a list, a word, nan or inf
+            raise GridError(f"{path}: meta n_avg is not a whole number") from None
+        try:
             return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask, meta=meta)
         except (GridError, ValueError) as exc:
             raise GridError(f"{path}: {exc}") from None

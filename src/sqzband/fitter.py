@@ -56,7 +56,7 @@ from .core import POSITIVE, TWO_PI, DerivedRates, at_least, check_value
 from .data import OnOffPair, SpectrumData
 from .errors import FitFailureError, GridError
 from .lineshape import Ratios, lorentzian
-from .lm import levenberg_marquardt
+from .lm import levenberg_marquardt, scaled_inverse
 from .seeding import task_seed
 from .synthesizer import DetectionConfig, synth_onoff_from_rates
 
@@ -320,17 +320,12 @@ class _Projection:
         # s -> 0) drops out of the solve and keeps a zero coefficient;
         # unit-column scaling keeps the inverse accurate
         norm = np.sqrt(np.diag(gram))
-        live = norm > np.finfo(float).eps * norm.max()
-        norm[~live] = 1.0
-        scale, keep = np.outer(norm, norm), np.outer(live, live)
-        unit_gram = np.where(keep, gram / scale, np.eye(norm.size))
         try:
-            inv = np.linalg.inv(unit_gram)
+            self._gram_inv = scaled_inverse(gram, norm > np.finfo(float).eps * norm.max())
         except np.linalg.LinAlgError:
             raise GridError(
                 "singular fit basis: the spectrum cannot separate the floor and line areas"
             ) from None
-        self._gram_inv = np.where(keep, inv / scale, 0.0)
         coef = self._gram_inv @ rhs
         self.theta = theta
         self.areas = self.model.areas(coef)

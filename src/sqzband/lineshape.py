@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POSITIVE, DerivedRates, check_value
+from .core import NONNEGATIVE, POSITIVE, DerivedRates, check_value
 from .errors import GridError, InternalConsistencyError
 
 
@@ -58,24 +58,6 @@ class Lorentzian:
     def psd(self, omega) -> np.ndarray:
         d = np.asarray(omega, dtype=float) - self.center
         return lorentzian(d * d, self.width, self.area_weight * self.width)
-
-
-@dataclass(frozen=True)
-class SpectrumModel:
-    """Sum of Lorentzians over a flat floor, times a detector gain."""
-
-    components: tuple[Lorentzian, ...]
-    floor: float = 0.0
-    calibration: float = 1.0
-
-    def __post_init__(self):
-        if self.calibration < 0:
-            raise ValueError("calibration must be nonnegative")
-
-    def psd(self, omega) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        total = sum((c.psd(omega) for c in self.components), np.zeros_like(omega))
-        return self.floor + self.calibration * total
 
 
 @dataclass(frozen=True)
@@ -179,10 +161,9 @@ def sideband_ratios(n_bar: float, s: float) -> Ratios:
     if not abs(s) < 1:
         raise ValueError("|s| must be < 1")
     r0 = (n_bar + 1) / n_bar if n_bar > 0 else math.inf
-    denom_plus = n_bar - s / 2
-    denom_minus = n_bar + s / 2
-    r_plus = (n_bar + 1 + s / 2) / denom_plus if denom_plus != 0 else math.inf
-    r_minus = (n_bar + 1 - s / 2) / denom_minus if denom_minus != 0 else math.inf
+    # Stokes over anti-Stokes weight of each width (Gamma_- narrow, Gamma_+ broad)
+    pairs = zip(_component_weights(n_bar, s, True), _component_weights(n_bar, s, False))
+    r_minus, r_plus = (stokes / anti if anti != 0 else math.inf for stokes, anti in pairs)
     return Ratios(r0=r0, r_plus=r_plus, r_minus=r_minus)
 
 
@@ -206,20 +187,21 @@ def heterodyne_composite(
     calibration: float,
     floor: float,
     grid,
-) -> tuple[SpectrumModel, np.ndarray]:
-    """Both motional sidebands on an absolute angular-frequency grid.
+) -> tuple[tuple[Lorentzian, ...], np.ndarray]:
+    """(components, PSD) of both motional sidebands on an absolute angular-frequency grid.
 
     PSD(w) = floor + calibration * [S_stokes(w - W_m - D_lo) + S_anti(w - W_m + D_lo)]
-    (Stokes sits above the mechanical frequency, anti-Stokes below).
+    (Stokes sits above the mechanical frequency, anti-Stokes below); the
+    components are each side's `sideband_components`, Stokes first.
     """
     check_value("delta_lo", delta_lo, POSITIVE)
+    check_value("calibration", calibration, NONNEGATIVE)
     grid = np.asarray(grid, dtype=float)
     center_stokes = rates.omega_m + delta_lo
     center_anti = rates.omega_m - delta_lo
     if grid.min() > center_anti or grid.max() < center_stokes:
         raise GridError("grid does not span both sideband centers")
-    components = sideband_components(
-        rates, n_bar, stokes=True, center=center_stokes
-    ) + sideband_components(rates, n_bar, stokes=False, center=center_anti)
-    model = SpectrumModel(components=components, floor=floor, calibration=calibration)
-    return model, model.psd(grid)
+    components = sideband_components(rates, n_bar, stokes=True, center=center_stokes)
+    components += sideband_components(rates, n_bar, stokes=False, center=center_anti)
+    total = sum((c.psd(grid) for c in components), np.zeros_like(grid))
+    return components, floor + calibration * total

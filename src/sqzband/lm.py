@@ -37,15 +37,23 @@ def _norm(v) -> float:
     return math.sqrt(v @ v)
 
 
+def scaled_inverse(m, live) -> np.ndarray:
+    """Inverse of the symmetric matrix m over its `live` rows and columns, through
+    their unit-diagonal scaling, and 0 in the other entries; LinAlgError if singular."""
+    norm = np.where(live, np.sqrt(np.diag(m)), 1.0)
+    scale, keep = norm[:, None] * norm, live[:, None] & live
+    inv = np.linalg.inv(np.where(keep, m / scale, np.eye(norm.size)))
+    return np.where(keep, inv / scale, 0.0)
+
+
 def _damped_solve(a, g, d2, par):
     """(a + par diag(d2))^-1 g and that inverse, or (None, None) if singular."""
     m = a + par * np.diag(d2)
-    scale = np.sqrt(np.diag(m))
-    if not np.all(scale > 0):
+    live = np.diag(m) > 0
+    if not live.all():
         return None, None
-    scale = np.outer(scale, scale)
     try:
-        inv = np.linalg.inv(m / scale) / scale
+        inv = scaled_inverse(m, live)
     except np.linalg.LinAlgError:
         return None, None
     return inv @ g, inv

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import NONNEGATIVE, POSITIVE, TWO_PI, DerivedRates, PumpConfig, SystemParams
-from .core import at_least, check_domains, check_value, derive_all
+from .core import NONNEGATIVE, POSITIVE, TWO_PI, DerivedRates, SystemParams
+from .core import at_least, check_domains, check_value
 from .data import OnOffPair, SpectrumData
 from .errors import GridError
 from .lineshape import heterodyne_composite
@@ -150,11 +150,10 @@ def synth_timeseries(
     duration: float,
     seed: int,
     floor: float = 0.0,
-    calibration: float = 1.0,
 ) -> EnvelopeTrace:
     """Complex heterodyne-analog record with both motional sidebands.
 
-    v(t) = sqrt(cal) * 2 beta(t) cos(2 pi f_lo t) e^{2 pi i f_c t} + noise,
+    v(t) = 2 beta(t) cos(2 pi f_lo t) e^{2 pi i f_c t} + noise,
     beta from the envelope SDE, f_lo = delta_lo/2pi, carrier f_c = fs/4 (so
     fs > 4 f_lo keeps f_c + f_lo below fs/2) and white complex noise at
     two-sided PSD `floor`.  Demodulating at f_c -/+ f_lo recovers the
@@ -169,13 +168,7 @@ def synth_timeseries(
     beta = sde_simulate(rates, n_bar, duration, dt, seed=task_seed(seed, 0))
     n = beta.samples.size
     t = np.arange(n) * dt
-    signal = (
-        math.sqrt(calibration)
-        * 2.0
-        * beta.samples
-        * np.cos(TWO_PI * delta_lo_hz * t)
-        * np.exp(2j * math.pi * f_c * t)
-    )
+    signal = 2.0 * beta.samples * np.cos(TWO_PI * delta_lo_hz * t) * np.exp(2j * math.pi * f_c * t)
     if floor > 0:
         rng = task_rng(seed, 1)
         scale = math.sqrt(floor * fs / 2)
@@ -190,8 +183,8 @@ def lockin_demodulate(
 
     The record is mixed down by f_demod (Hz), brick-wall low-passed at
     lowpass_cutoff, and the theta quadrature is taken; the 1/sqrt(2) makes
-    the output PSD equal (S_XthXth(f - f_lo) + S_XthXth(f + f_lo)) / 2 at
-    unit calibration.  theta = -phi/2 selects the squeezed Y quadrature.
+    the output PSD equal (S_XthXth(f - f_lo) + S_XthXth(f + f_lo)) / 2.
+    theta = -phi/2 selects the squeezed Y quadrature.
     """
     if lowpass_cutoff >= f_demod:
         raise ValueError("lowpass_cutoff must be below f_demod")
@@ -268,20 +261,3 @@ def synth_onoff_from_rates(
             meta={"drive": label, **_truth_meta(rates, n_bar, detection, cal)},
         )
     return OnOffPair(drive_on=spectra["on"], drive_off=spectra["off"], shared_params=params)
-
-
-def make_onoff_pair(
-    params: SystemParams, pump: PumpConfig, detection: DetectionConfig, seed: int
-) -> OnOffPair:
-    """Physical-level pair: the rates follow from the pump by `derive_all`;
-    the off member keeps the on member's cooling, resonance and occupancy and
-    only drops the parametric rate."""
-    rates_on = derive_all(params, pump)
-    return synth_onoff_from_rates(
-        rates_on,
-        rates_on.without_parametric_drive(),
-        n_bar=rates_on.n_bar,
-        detection=detection,
-        seed=seed,
-        params=params,
-    )

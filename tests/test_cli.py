@@ -17,6 +17,7 @@ from sqzband.errors import ConfigError
 from sqzband.fitter import BiasStudyReport, fit_pair_two_stage
 from sqzband.io import write_json
 from sqzband.seeding import task_seed
+from sqzband.synthesizer import synth_onoff_from_rates
 
 
 MINIMAL = """
@@ -64,6 +65,15 @@ class TestLoadConfig:
         text = MINIMAL.replace("quality_factor = 6.4e6", line)
         with pytest.raises(ConfigError, match="gamma_m_hz or quality_factor, not both"):
             load_config(write_config(tmp_path, text))
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(MINIMAL.encode() + b"n_extra = \xff\n")
+        with pytest.raises(ConfigError, match="run.ini"):
+            load_config(path)
+        assert cli.main(["rates", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_missing_section_diagnostic(self, tmp_path):
         bad = MINIMAL.replace("[bath]", "[bathtub]")
@@ -329,6 +339,15 @@ class TestSynthFitFlow:
         assert err.startswith("error:") and "non-finite" in err
         assert "Traceback" not in err
 
+    def test_fit_of_a_missing_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "fits"
+        code = cli.main(["fit", "--off", str(tmp_path / "absent.csv"), "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "absent.csv" in err
+        assert "Traceback" not in err
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
     @pytest.mark.parametrize(
         "psd, with_on, code, message",
         [
@@ -416,6 +435,12 @@ class TestSynthFitFlow:
         assert off.meta["truth"]["gamma_eff_hz"] == pytest.approx(
             rates.gamma_eff / TWO_PI, rel=1e-9
         )
+        # byte for byte the pair synth_onoff_from_rates draws on the pump-derived rates
+        off_rates = rates.without_parametric_drive()
+        pair = synth_onoff_from_rates(rates, off_rates, rates.n_bar, cfg.detection, seed=3)
+        for name, spectrum in (("drive_on", pair.drive_on), ("drive_off", pair.drive_off)):
+            spectrum.to_csv(tmp_path / f"{name}.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == (out / f"{name}.csv").read_bytes()
 
 
 class TestSweepCommand:
@@ -701,6 +726,22 @@ class TestRerun:
         for name in ("rates.json", "config_snapshot.ini"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "content", [None, "directory", "{", "[1]", '{"arguments": {}}'],
+        ids=["missing", "directory", "not-json", "not-an-object", "no-argv"],
+    )
+    def test_unreadable_manifest_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "manifest.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        assert cli.main(["rerun", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "manifest.json" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_svg_rerun_reproduces_table(self, tmp_path, paper_config_path):
         first = tmp_path / "first"
         args = ["sweep", "--config", str(paper_config_path), "--out-dir", str(first)]
@@ -839,6 +880,9 @@ def _s_table_edit(table):
         pytest.param(["sweep"], _s_table_edit("50:nan; 500:0.5"), id="argv53-edit53"),
         pytest.param(["sweep"], _s_table_edit("50:inf"), id="argv54-edit54"),
         pytest.param(["sweep"], _s_table_edit("nan:0.3; 500:0.4"), id="argv55-edit55"),
+        pytest.param(["synth", "--seed", "-1"], None, id="argv56-None"),
+        pytest.param(["experiment", "--seed", "-1"], None, id="argv57-None"),
+        pytest.param(["bias", "--seed", "-1"], None, id="argv58-None"),
     ],
 )
 def test_count_or_width_that_cannot_run_exits_2(tmp_path, paper_config_path, capsys, argv, edit):

@@ -291,6 +291,11 @@ class TestSpectrumData:
         [
             (",1.0,0\n", ",nan,0\n", "psd has 1 non-finite"),
             (",1.0,0\n", ",-1.0,0\n", "psd must be nonnegative"),
+            ('{"n_avg": 3}', "[1, 2]", "the meta line is not a JSON object"),
+            ('{"n_avg": 3}', '"x"', "the meta line is not a JSON object"),
+            ('"n_avg": 3', '"n_avg": null', "meta n_avg is not a whole number"),
+            ('"n_avg": 3', '"n_avg": [3]', "meta n_avg is not a whole number"),
+            ('"n_avg": 3', '"n_avg": 1e400', "meta n_avg is not a whole number"),
         ],
     )
     def test_bad_csv_values_name_file(self, tmp_path, old, new, message):
@@ -298,6 +303,16 @@ class TestSpectrumData:
         spectrum().to_csv(path)
         path.write_text(path.read_text().replace(old, new, 1))
         with pytest.raises(GridError, match=rf"spec\.csv: {message}"):
+            SpectrumData.from_csv(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_names_file(self, tmp_path, kind):
+        path = tmp_path / "spec.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"# meta: {}\n100.0,1.0,0\n\xff\n")
+        with pytest.raises(GridError, match=r"cannot read .*spec\.csv"):
             SpectrumData.from_csv(path)
 
 

@@ -55,12 +55,10 @@ def noiseless_pair(truth):
     mask = band_mask(freq, centers, det.band_halfwidth_hz)
     out = {}
     for label, rates in (("on", rates_on), ("off", rates_off)):
-        model, _ = heterodyne_composite(
+        components, psd = heterodyne_composite(
             rates, truth.n_bar, det.delta_lo, cal, det.floor, TWO_PI * freq
         )
-        out[label] = SpectrumData(
-            freq_hz=freq, psd=model.psd(TWO_PI * freq), n_avg=det.n_avg, mask=mask
-        ), model
+        out[label] = SpectrumData(freq_hz=freq, psd=psd, n_avg=det.n_avg, mask=mask), components
     return out["off"], out["on"], cal
 
 

@@ -195,6 +195,11 @@ class TestRatios:
     def test_zero_occupancy_reports_infinite(self):
         assert math.isinf(sideband_ratios(0.0, 0.0).r0)
 
+    def test_vanishing_anti_stokes_weight_reports_infinite(self):
+        # n = s/2 empties the broad anti-Stokes component, n = -s/2 the narrow one
+        assert sideband_ratios(0.2, 0.4).r_plus == math.inf
+        assert sideband_ratios(0.2, -0.4).r_minus == math.inf
+
     def test_equal_at_zero_s(self):
         r = sideband_ratios(3.0, 0.0)
         assert r.r0 == r.r_plus == r.r_minus
@@ -234,8 +239,8 @@ class TestHeterodyneComposite:
         rates = rates_for(0.3)
         delta_lo = TWO_PI * 11e3
         grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 24001)
-        model, psd = heterodyne_composite(rates, 5.8, delta_lo, 1.0, 0.0, grid)
-        centers = sorted({c.center for c in model.components})
+        components, psd = heterodyne_composite(rates, 5.8, delta_lo, 1.0, 0.0, grid)
+        centers = sorted({c.center for c in components})
         assert centers[1] - centers[0] == pytest.approx(2 * delta_lo, rel=1e-12)
         peak_indices = [np.argmax(psd[: len(psd) // 2]), len(psd) // 2 + np.argmax(psd[len(psd) // 2 :])]
         freqs = grid[peak_indices] - rates.omega_m
@@ -252,15 +257,11 @@ class TestHeterodyneComposite:
         rates = rates_for(0.0)
         delta_lo = TWO_PI * 11e3
         grid = rates.omega_m + TWO_PI * np.arange(-11.5e3, 11.5e3, 0.5)
-        model, psd = heterodyne_composite(rates, 5.8, delta_lo, 2.0, 0.1, grid)
-        stokes_area = sum(
-            c.area_weight for c in model.components if c.center > rates.omega_m
-        )
-        anti_area = sum(
-            c.area_weight for c in model.components if c.center < rates.omega_m
-        )
+        components, psd = heterodyne_composite(rates, 5.8, delta_lo, 2.0, 0.1, grid)
+        stokes_area = sum(c.area_weight for c in components if c.center > rates.omega_m)
+        anti_area = sum(c.area_weight for c in components if c.center < rates.omega_m)
         assert stokes_area / anti_area == pytest.approx(1.1724, abs=1e-4)
-        widths = {c.width for c in model.components}
+        widths = {c.width for c in components}
         assert widths == {rates.gamma_eff}
 
     def test_narrow_grid_rejected(self):
@@ -269,20 +270,31 @@ class TestHeterodyneComposite:
         with pytest.raises(GridError):
             heterodyne_composite(rates, 5.8, TWO_PI * 11e3, 1.0, 0.0, grid)
 
+    @pytest.mark.parametrize("calibration", [-1.0, math.nan])
+    def test_calibration_outside_its_domain_rejected(self, calibration):
+        rates = rates_for(0.3)
+        grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 301)
+        with pytest.raises(ValueError, match="calibration"):
+            heterodyne_composite(rates, 5.8, TWO_PI * 11e3, calibration, 0.0, grid)
 
-class TestSpectrumModel:
+    def test_psd_is_floor_plus_calibrated_component_sum(self):
+        # bit for bit, with each returned component evaluated by Lorentzian.psd
+        rates = rates_for(0.4, n_bar=0.3)
+        grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 2001)
+        components, psd = heterodyne_composite(rates, 0.3, TWO_PI * 11e3, 1.7, 0.4, grid)
+        assert [(c.center > rates.omega_m, c.width) for c in components] == [
+            (True, rates.gamma_minus), (True, rates.gamma_plus),
+            (False, rates.gamma_minus), (False, rates.gamma_plus),
+        ]
+        expected = 0.4 + 1.7 * sum(c.psd(grid) for c in components)
+        assert np.array_equal(psd, expected)
+
+
+class TestLorentzian:
     def test_unit_area_kernel(self):
         comp = Lorentzian(center=0.0, width=TWO_PI * 10, area_weight=3.7)
         val, _ = quad(lambda d: comp.psd(d), -np.inf, np.inf)
         assert val / TWO_PI == pytest.approx(3.7, rel=1e-9)
-
-    def test_psd_is_floor_plus_calibrated_component_sum(self):
-        # bit for bit, with each component evaluated by Lorentzian.psd
-        rates = rates_for(0.4, n_bar=0.3)
-        grid = rates.omega_m + TWO_PI * np.linspace(-12e3, 12e3, 2001)
-        model, psd = heterodyne_composite(rates, 0.3, TWO_PI * 11e3, 1.7, 0.4, grid)
-        expected = model.floor + model.calibration * sum(c.psd(grid) for c in model.components)
-        assert np.array_equal(psd, expected)
 
 
 class TestLorentzianKernel:

@@ -10,23 +10,18 @@ from sqzband.cli import _truth_from_config
 from sqzband.core import DerivedRates, PumpConfig, derive_all
 from sqzband.errors import GridError
 from sqzband.fitter import fit_pair_two_stage
-from sqzband.lineshape import Lorentzian, SpectrumModel, antistokes_spectrum, stokes_spectrum
+from sqzband.lineshape import Lorentzian, antistokes_spectrum, stokes_spectrum
 from sqzband.oracle import welch_psd
 from sqzband.synthesizer import (
     DetectionConfig,
     band_mask,
     lockin_demodulate,
-    make_onoff_pair,
     segment_average,
     synth_onoff_from_rates,
     synth_periodogram,
     synth_timeseries,
     synthetic_grid_hz,
 )
-
-
-def flat_model(level=2.0):
-    return SpectrumModel(components=(), floor=level, calibration=1.0)
 
 
 def lorentz_floor(f, amp, fwhm, center, floor):
@@ -36,13 +31,12 @@ def lorentz_floor(f, amp, fwhm, center, floor):
 class TestSynthPeriodogram:
     def test_large_averages_recover_model(self):
         freq = np.linspace(0, 100, 64)
-        model = flat_model(3.0)
-        data = synth_periodogram(model.psd(TWO_PI * freq), freq, n_avg=10**6, seed=5)
+        data = synth_periodogram(np.full(freq.size, 3.0), freq, n_avg=10**6, seed=5)
         assert np.all(np.abs(data.psd / 3.0 - 1) < 0.005)
 
     def test_relative_scatter_matches_gamma_law(self):
         freq = np.linspace(0, 100, 101)
-        mean = flat_model(1.0).psd(TWO_PI * freq)
+        mean = np.full(freq.size, 1.0)
         draws = np.stack(
             [synth_periodogram(mean, freq, n_avg=10, seed=k).psd for k in range(100)]
         )
@@ -53,31 +47,31 @@ class TestSynthPeriodogram:
 
     def test_deterministic_per_seed(self):
         freq = np.linspace(0, 10, 32)
-        mean = flat_model().psd(TWO_PI * freq)
+        mean = np.full(freq.size, 2.0)
         a = synth_periodogram(mean, freq, n_avg=7, seed=42)
         b = synth_periodogram(mean, freq, n_avg=7, seed=42)
         assert np.array_equal(a.psd, b.psd)
         assert a.n_avg == 7 and a.meta["seed"] == 42
 
     def test_negative_model_rejected(self):
-        bad = SpectrumModel(
-            components=(Lorentzian(0.0, TWO_PI * 10.0, -5.0),), floor=0.0
-        )
         freq = np.linspace(-5, 5, 11)
+        bad = Lorentzian(0.0, TWO_PI * 10.0, -5.0).psd(TWO_PI * freq)
         with pytest.raises(ValueError):
-            synth_periodogram(bad.psd(TWO_PI * freq), freq, n_avg=5, seed=1)
+            synth_periodogram(bad, freq, n_avg=5, seed=1)
 
 
 class TestSynthTimeseries:
     def test_floor_only_flat(self):
+        # away from the sidebands (10 linewidths and more) only the floor is left
         rates = DerivedRates.from_effective(TWO_PI * 20, 0.0, n_bar=0.0)
         trace = synth_timeseries(
-            rates, 0.0, TWO_PI * 64, fs=2048.0, duration=64.0, seed=3,
-            floor=0.5, calibration=0.0,
+            rates, 0.0, TWO_PI * 64, fs=2048.0, duration=64.0, seed=3, floor=0.5
         )
         spec = segment_average(trace.samples, segment_seconds=0.5, dt=trace.dt)
-        assert spec.psd.mean() == pytest.approx(0.5, rel=0.02)
-        assert spec.psd.std() / spec.psd.mean() < 0.1
+        offsets = spec.freq_hz - 2048.0 / 4  # from the carrier fs/4
+        far = np.minimum(np.abs(offsets - 64.0), np.abs(offsets + 64.0)) >= 200.0
+        assert spec.psd[far].mean() == pytest.approx(0.5, rel=0.02)
+        assert spec.psd[far].std() / spec.psd[far].mean() < 0.1
 
     def test_deterministic(self):
         rates = DerivedRates.from_effective(TWO_PI * 20, 0.3, n_bar=1.0)
@@ -121,8 +115,7 @@ class TestSynthTimeseries:
         fs, delta_lo_hz, duration = 8192.0, 64.0, 600.0
         rates = DerivedRates.from_effective(TWO_PI * gamma_hz, s, phi=0.9, n_bar=n_bar)
         trace = synth_timeseries(
-            rates, n_bar, TWO_PI * delta_lo_hz, fs=fs, duration=duration, seed=31,
-            floor=0.02, calibration=1.0,
+            rates, n_bar, TWO_PI * delta_lo_hz, fs=fs, duration=duration, seed=31, floor=0.02
         )
         spec = segment_average(trace.samples, segment_seconds=1.0, dt=trace.dt)
         carrier = fs / 4
@@ -301,10 +294,10 @@ class TestOnOffPair:
     def test_physical_level_pair(self, paper_run_config):
         cfg = paper_run_config
         det = DetectionConfig(delta_lo_hz=1.1e3, band_halfwidth_hz=250.0, n_avg=5)
-        pair = make_onoff_pair(cfg.params, cfg.pump, det, seed=3)
-        assert pair.shared_params is cfg.params
-        assert pair.drive_on.n_avg == 5
         rates = derive_all(cfg.params, cfg.pump)
+        off = rates.without_parametric_drive()
+        pair = synth_onoff_from_rates(rates, off, rates.n_bar, det, seed=3)
+        assert pair.drive_on.n_avg == 5
         truth = pair.drive_off.meta["truth"]
         assert truth["gamma_eff_hz"] == pytest.approx(rates.gamma_eff / TWO_PI, rel=1e-12)
         assert pair.drive_off.meta["truth"]["s"] == 0.0
