@@ -32,8 +32,6 @@ from .lineshape import (
     heterodyne_composite,
     quadrature_spectrum,
     quadrature_variances,
-    sideband_areas,
-    sideband_components,
     sideband_ratios,
     squeezing_criterion,
     stokes_spectrum,
@@ -68,22 +66,14 @@ def _record_run(cfg: RunConfig | None, out: Path, manifest: RunManifest) -> None
 
 
 def _truth_from_config(cfg: RunConfig, *, bias: bool = False) -> ExperimentTruth:
-    if bias:
-        return ExperimentTruth(
-            gamma_eff=TWO_PI * cfg.bias.gamma_eff_hz,
-            s=0.0,
-            n_bar=cfg.bias.n_bar,
-            center_hz=cfg.bias.center_hz,
-            detection=cfg.bias_detection,
-        )
-    exp = cfg.experiment
+    section = cfg.bias if bias else cfg.experiment
     return ExperimentTruth(
-        gamma_eff=TWO_PI * exp.gamma_eff_hz,
-        s=exp.s,
-        n_bar=exp.n_bar,
-        phi=math.radians(exp.phi_deg),
-        center_hz=exp.center_hz,
-        detection=cfg.detection,
+        gamma_eff=TWO_PI * section.gamma_eff_hz,
+        s=0.0 if bias else section.s,
+        n_bar=section.n_bar,
+        phi=0.0 if bias else math.radians(section.phi_deg),
+        center_hz=section.center_hz,
+        detection=cfg.bias_detection if bias else cfg.detection,
     )
 
 
@@ -137,7 +127,7 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
         y_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2, grid)
         x_quad = quadrature_spectrum(rates, n_bar, -rates.phi / 2 + math.pi / 2, grid)
         comp_freq = center_hz + np.linspace(-span, span, args.points)
-        _, comp_psd = heterodyne_composite(
+        components, comp_psd = heterodyne_composite(
             rates,
             n_bar,
             cfg.detection.delta_lo,
@@ -146,11 +136,9 @@ def cmd_spectrum(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None
             TWO_PI * comp_freq,
         )
 
-    comps = {
-        "stokes": sideband_components(rates, n_bar, stokes=True),
-        "antistokes": sideband_components(rates, n_bar, stokes=False),
-    }
-    area_s, area_a = sideband_areas(rates, n_bar)
+    # widths and area weights do not depend on the centre: Stokes first, then anti-Stokes
+    comps = {"stokes": components[:2], "antistokes": components[2:]}
+    area_s, area_a = (sum(c.area_weight for c in pair) for pair in comps.values())
     ratios = sideband_ratios(n_bar, rates.s_folded)
     squeezed, margin = squeezing_criterion(n_bar, rates.s_folded)
     sigma_x2, sigma_y2, sigma02 = quadrature_variances(n_bar, rates.s_folded)
@@ -427,12 +415,16 @@ def cmd_bias(args, cfg: RunConfig, out: Path, manifest: RunManifest) -> None:
 def cmd_rerun(args) -> int:
     try:
         record = RunManifest.load(args.manifest)
-        argv, recorded_config = list(record["arguments"]["argv"]), record["config_snapshot"]
+        argv, recorded_config = record["arguments"]["argv"], record["config_snapshot"]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{args.manifest}: not a readable manifest ({exc!r})") from None
+    if not (isinstance(argv, list) and set(map(type, argv)) == {str}) or argv[0] == "rerun":
+        raise ConfigError(f"{args.manifest}: the recorded argv is not a command to replay")
     # argparse keeps the last of a repeated option, in either of its forms
     snapshot = Path(args.manifest).parent / "config_snapshot.ini"
-    if recorded_config and snapshot.exists():
+    if recorded_config:
+        if not snapshot.exists():
+            raise ConfigError(f"{snapshot}: missing, and the manifest records a config")
         argv += ["--config", str(snapshot)]
     if args.out_dir:
         argv += ["--out-dir", args.out_dir]

@@ -114,12 +114,11 @@ class SpectrumData:
             meta, freq, psd, mask = _parse_rows(path, lines)
         if not isinstance(meta, dict):
             raise GridError(f"{path}: the meta line is not a JSON object")
+        n_avg = meta.pop("n_avg", 1)  # not true, "3", 2.5 or inf: an int or an integral float
+        if not (type(n_avg) is int or type(n_avg) is float and n_avg.is_integer()):
+            raise GridError(f"{path}: meta n_avg is not a whole number")
         try:
-            n_avg = int(meta.pop("n_avg", 1))
-        except (TypeError, ValueError, OverflowError):  # null, a list, a word, nan or inf
-            raise GridError(f"{path}: meta n_avg is not a whole number") from None
-        try:
-            return cls(freq_hz=freq, psd=psd, n_avg=n_avg, mask=mask, meta=meta)
+            return cls(freq_hz=freq, psd=psd, n_avg=int(n_avg), mask=mask, meta=meta)
         except (GridError, ValueError) as exc:
             raise GridError(f"{path}: {exc}") from None
 

@@ -376,14 +376,13 @@ def _smooth(y: np.ndarray, width: int = 7) -> np.ndarray:
     return np.convolve(y, np.ones(width) / width, mode="same")
 
 
-def _initial_guess(freq, psd):
-    """Two peak centers and a common width from the raw data.
+def _initial_guess(freq, psd, smooth):
+    """Two peak centers and a common width from the raw data and its `_smooth`.
 
-    Centers come from the two largest separated maxima of a lightly smoothed
+    Centers come from the two largest separated maxima of the smoothed
     spectrum, the width from the Lorentzian peak/area relation above a
     percentile floor.
     """
-    smooth = _smooth(psd)
     floor = float(np.percentile(smooth, 10))
     res = freq[1] - freq[0]
 
@@ -402,8 +401,8 @@ def _sigma_floor(values: np.ndarray) -> float:
     return max(float(np.max(np.abs(values))) * 1e-12, 1e-300)
 
 
-def _initial_sigma(psd: np.ndarray, n_avg: int) -> np.ndarray:
-    return np.maximum(_smooth(psd), _sigma_floor(psd)) / math.sqrt(n_avg)
+def _initial_sigma(psd: np.ndarray, smooth: np.ndarray, n_avg: int) -> np.ndarray:
+    return np.maximum(smooth, _sigma_floor(psd)) / math.sqrt(n_avg)
 
 
 # the LM loop rejects non-finite trials and a non-finite fit is not converged,
@@ -443,11 +442,11 @@ def _ratio(stokes: float, anti: float, correction: float) -> float:
     return (stokes / anti) * correction if anti != 0 else math.inf
 
 
-def _coverage_flags(data: SpectrumData, centers_hz, width_hz) -> tuple[str, ...]:
+def _coverage_flags(data: SpectrumData, included, centers_hz, width_hz) -> tuple[str, ...]:
     """Flag peaks whose fit region is mostly masked out (error inflation).
 
-    Lattice points missing from a gapped grid count as masked bins."""
-    included = data.included()
+    `included` is `data.included()`; lattice points missing from a gapped grid
+    count as masked bins."""
     for c in centers_hz:
         bins, n = data.window(c - width_hz / 2, c + width_hz / 2)
         if n and (n - included[bins].sum()) / n > 0.8:
@@ -477,8 +476,10 @@ def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitRes
     """
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
-    proj = _Projection(_PairModel(freq.size), freq, psd, _initial_sigma(psd, data.n_avg))
-    res, params, sigmas, chi2 = _run_weighted_fit(proj, _initial_guess(freq, psd), data.n_avg)
+    smooth = _smooth(psd)
+    proj = _Projection(_PairModel(freq.size), freq, psd, _initial_sigma(psd, smooth, data.n_avg))
+    theta0 = _initial_guess(freq, psd, smooth)
+    res, params, sigmas, chi2 = _run_weighted_fit(proj, theta0, data.n_avg)
     params["gamma_eff_hz"] = abs(params["gamma_eff_hz"])
     r0 = _ratio(*_stokes_anti(params, "area_{}"), ratio_correction)
     params["r0"] = r0
@@ -491,7 +492,7 @@ def fit_single_pair(data: SpectrumData, ratio_correction: float = 1.0) -> FitRes
         n_bar_inferred=1.0 / (r0 - 1.0) if math.isfinite(r0) and r0 > 1 else math.nan,
         converged=res.converged and math.isfinite(r0),
         n_iter=res.nfev,
-        flags=_coverage_flags(data, centers, params["gamma_eff_hz"]),
+        flags=_coverage_flags(data, sel, centers, params["gamma_eff_hz"]),
     )
 
 
@@ -515,12 +516,13 @@ def fit_double_pair(
     gamma_eff_hz = check_value("gamma_eff_fixed", gamma_eff_fixed, POSITIVE) / TWO_PI
     sel = data.included()
     freq, psd = data.freq_hz[sel], data.psd[sel]
+    smooth = _smooth(psd)
     model = _TwoPairModel(gamma_eff_hz, freq.size)
-    proj = _Projection(model, freq, psd, _initial_sigma(psd, data.n_avg))
+    proj = _Projection(model, freq, psd, _initial_sigma(psd, smooth, data.n_avg))
     if init_hint:
         c1, c2 = init_hint["center_1_hz"], init_hint["center_2_hz"]
     else:
-        c1, c2, _ = _initial_guess(freq, psd)
+        c1, c2, _ = _initial_guess(freq, psd, smooth)
     # q starts at the best point of a coarse s grid, one linear solve for floor
     # and areas each, which puts the nonlinear polish close to the optimum
     with np.errstate(all="ignore"):  # as in _run_weighted_fit
@@ -534,7 +536,7 @@ def fit_double_pair(
     sigmas["s"] = sigmas["q"] * s_hat * (1 - e)
 
     centers = (params["center_1_hz"], params["center_2_hz"])
-    flags = list(_coverage_flags(data, centers, gamma_eff_hz))
+    flags = list(_coverage_flags(data, sel, centers, gamma_eff_hz))
     if s_hat < 1e-4:
         flags.append("s_at_lower_bound")
         # the model is even in s: sigma_q ds/dq -> 0 there says nothing about s

@@ -12,7 +12,9 @@ and m is thousands.  Each linear solve goes through the unit-diagonal
 scaling of its matrix, so columns of very different size (a parameter
 pinned at a boundary) cost no accuracy.  Nearly collinear columns do: the
 normal equations square the condition number, and there the path departs
-from lmder's.
+from lmder's.  So does a column below about 1e-154: its Gram entry is
+subnormal, a non-finite bound parl on the LM parameter is taken as 0
+(lmpar's no-bound value), and an unsolvable damped system ends the pass.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _lm_parameter(a, g, diag, delta, par):
     """lmpar on the normal equations: (par, step) with (a + par D^2) step = -g
     and |D step| within 10 % of delta, or the Gauss-Newton step (par = 0)
     when that is no longer.  Newton's iteration on |D step(par)| = delta,
-    safeguarded by the bounds [parl, paru], at most 10 solves."""
+    safeguarded by the bounds [parl, paru], at most 10 solves (None if one fails)."""
     d2 = diag * diag
     gnorm = _norm(g / diag)
     paru = gnorm / delta or _DWARF / min(delta, 0.1)
@@ -76,11 +78,14 @@ def _lm_parameter(a, g, diag, delta, par):
             return 0.0, -x
         w = d2 * x / dxnorm
         parl = fp / delta / (w @ inv @ w)
+        parl = parl if math.isfinite(parl) else 0.0  # a subnormal Gram entry: no bound
     par = min(max(par, parl), paru) or gnorm / dxnorm
     for count in range(1, 11):
         if par == 0:
             par = max(_DWARF, 0.001 * paru)
         x, inv = _damped_solve(a, g, d2, par)
+        if x is None:  # par is not finite, or the damped matrix singular
+            return par, None
         dxnorm = _norm(diag * x)
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= previous < 0) or count == 10:
@@ -110,8 +115,8 @@ def levenberg_marquardt(problem, x, *, ftol, xtol, gtol, max_nfev) -> LMResult:
     relative reductions of the cost both <= ftol (info 1), a step bound
     <= xtol |D x| (info 2), or every gradient cosine |(J^T r)_j| / (|J_j| |r|)
     <= gtol (info 4).  Not converged means max_nfev residuals were spent
-    (info 5), or the start or its normal equations are not finite.  A trial
-    with a non-finite residual is a rejected step.
+    (info 5), the start or its normal equations are not finite, or a damped
+    step cannot be solved for.  A non-finite trial residual is a rejected step.
     """
     resid = problem.residual(x)
     fnorm, nfev, first = _norm(resid), 1, True
@@ -131,6 +136,8 @@ def levenberg_marquardt(problem, x, *, ftol, xtol, gtol, max_nfev) -> LMResult:
         diag = np.maximum(diag, colnorm)
         while True:
             par, step = _lm_parameter(a, g, diag, delta, par)
+            if step is None:
+                return LMResult(x, resid, nfev, False)
             trial = x + step
             pnorm = _norm(diag * step)
             if first:

@@ -727,20 +727,55 @@ class TestRerun:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     @pytest.mark.parametrize(
-        "content", [None, "directory", "{", "[1]", '{"arguments": {}}'],
-        ids=["missing", "directory", "not-json", "not-an-object", "no-argv"],
+        "content",
+        [
+            None,
+            "directory",
+            "{",
+            "[1]",
+            '{"arguments": {}}',
+            '{"arguments": {"argv": [1]}, "config_snapshot": {}}',
+            '{"arguments": {"argv": []}, "config_snapshot": {}}',
+            '{"arguments": {"argv": "rates"}, "config_snapshot": {}}',
+            '{"arguments": {"argv": ["rerun", "SELF"]}, "config_snapshot": {}}',
+        ],
+        ids=[
+            "missing",
+            "directory",
+            "not-json",
+            "not-an-object",
+            "no-argv",
+            "argv-not-strings",
+            "argv-empty",
+            "argv-not-a-list",
+            "argv-replays-itself",
+        ],
     )
     def test_unreadable_manifest_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "manifest.json"
         if content == "directory":
             path.mkdir()
         elif content is not None:
-            path.write_text(content)
+            path.write_text(content.replace("SELF", str(path)))
         assert cli.main(["rerun", str(path), "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "manifest.json" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_manifest_without_its_snapshot_exits_2(self, tmp_path, capsys, paper_config_path):
+        # the config file as it is now must not stand in for the recorded one
+        config = write_config(tmp_path, paper_config_path.read_text(), name="c.ini")
+        first, moved = tmp_path / "first", tmp_path / "moved"
+        assert cli.main(["rates", "--config", str(config), "--out-dir", str(first)]) == 0
+        moved.mkdir()
+        (moved / "manifest.json").write_bytes((first / "manifest.json").read_bytes())
+        config.write_text(config.read_text().replace("delta_hz = 2.0e5", "delta_hz = 1.5e5"))
+        out = tmp_path / "o"
+        assert cli.main(["rerun", str(moved / "manifest.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(moved / "config_snapshot.ini") in err
+        assert not out.exists()
 
     def test_sweep_svg_rerun_reproduces_table(self, tmp_path, paper_config_path):
         first = tmp_path / "first"

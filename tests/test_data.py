@@ -296,6 +296,8 @@ class TestSpectrumData:
             ('"n_avg": 3', '"n_avg": null', "meta n_avg is not a whole number"),
             ('"n_avg": 3', '"n_avg": [3]', "meta n_avg is not a whole number"),
             ('"n_avg": 3', '"n_avg": 1e400', "meta n_avg is not a whole number"),
+            ('"n_avg": 3', '"n_avg": 2.5', "meta n_avg is not a whole number"),
+            ('"n_avg": 3', '"n_avg": true', "meta n_avg is not a whole number"),
         ],
     )
     def test_bad_csv_values_name_file(self, tmp_path, old, new, message):

@@ -112,3 +112,18 @@ def test_fits_match_scipy_least_squares(monkeypatch, name):
         gamma, ref_gamma = off.params["gamma_eff_hz"], ref_off.params["gamma_eff_hz"]
         assert gamma == pytest.approx(ref_gamma, rel=1e-6)
         assert (off.n_iter, on.n_iter) == (ref_off.n_iter, ref_on.n_iter)
+
+
+
+@pytest.mark.parametrize("n_bar, trial, converged", [(5.8, 290, True), (0.05, 681, False)])
+def test_subnormal_gram_entry_ends_the_fit_typed(n_bar, trial, converged):
+    # s = 0 truth at n_avg 10, seed 1234: as s walks to 0 the q column falls to
+    # about 1e-158 and its Gram entry goes subnormal.  In trial 290 lmpar's
+    # lower bound parl is not finite, which must not make the LM parameter NaN;
+    # in trial 681 a damped solve fails, which ends the pass unconverged
+    det = DetectionConfig(n_avg=10)
+    truth = ExperimentTruth(gamma_eff=TWO_PI * 100.0, s=0.0, n_bar=n_bar, detection=det)
+    pair = truth.synth_pair(task_seed(1234, trial))
+    off, on = fit_pair_two_stage(pair.drive_off, pair.drive_on)
+    assert off.converged and on.converged == converged
+    assert on.params["s"] < 1e-100 and "s_at_lower_bound" in on.flags
